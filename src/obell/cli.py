@@ -302,6 +302,15 @@ _DEFAULT_SETTINGS = {
 }
 
 
+def _trials_from_config(value) -> int:
+    """``trials_per_pair`` as an int: a whole JSON number, not a bool
+    (``ExperimentSpec`` checks the range)."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"trials_per_pair must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None) -> exp_mod.ExperimentSpec:
     known = {
         "source", "gamma", "eta", "fair_sampling", "trials_per_pair",
@@ -336,7 +345,7 @@ def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None) -> exp_mod.
     return exp_mod.ExperimentSpec(
         source=cfg.get("source", "quantum"),
         settings=settings,
-        trials_per_pair=int(cfg.get("trials_per_pair", 100_000)),
+        trials_per_pair=_trials_from_config(cfg.get("trials_per_pair", 100_000)),
         seed=int(seed),
         eta=float(cfg.get("eta", 1.0)),
         gamma=float(cfg.get("gamma", 1.0)),

@@ -54,6 +54,8 @@ def make_setting(v: Sequence[float]) -> MeasurementSetting:
         raise ValueError("cannot normalize a zero or non-finite vector")
     if abs(norm - 1.0) <= UNIT_TOL:
         return MeasurementSetting(vec)
+    # hypot stays exact where the sum of squares is subnormal
+    norm = math.hypot(*vec)
     return MeasurementSetting(tuple(x / norm for x in vec))
 
 
@@ -201,11 +203,15 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
         )
         return violations
 
-    total = sum(m.weights)
-    if any(w < 0 for w in m.weights):
-        for i, w in enumerate(m.weights):
-            if w < 0:
-                violations.append(f"atom {i}: negative weight {w!r}")
+    total = 0
+    for i, w in enumerate(m.weights):
+        if isinstance(w, bool):
+            violations.append(f"atom {i}: weight {w!r} is a bool, not a number")
+        elif isinstance(w, float) and not math.isfinite(w):
+            violations.append(f"atom {i}: non-finite weight {w!r}")
+        elif w < 0:
+            violations.append(f"atom {i}: negative weight {w!r}")
+        total += w
     if abs(total - 1) > WEIGHT_TOL:
         violations.append(f"weights: normalization broken, sum is {float(total)!r}")
 
@@ -263,6 +269,8 @@ def _number_to_json(x: Number):
 def _number_from_json(x) -> Number:
     if isinstance(x, str):
         return Fraction(x)
+    if isinstance(x, bool):
+        return x  # kept as is, so validate_model can name the atom
     return float(x)
 
 

@@ -1,9 +1,14 @@
 """Seeded Monte Carlo simulation of finite-statistics Bell tests.
 
-Sources: the exact singlet sampler, a white-noise-degraded singlet
+Sources: the exact singlet state, a white-noise-degraded singlet
 (correlations scaled by gamma), or an explicit finite hidden-variable model.
-Detection is a single joint Bernoulli(eta) draw per trial under fair
-sampling, or the model's own detection sets otherwise.
+Detection is a joint Bernoulli(eta) event per trial under fair sampling, or
+the model's own detection sets otherwise.
+
+The estimator reads two counts per setting pair, the detected trials and the
+detected trials with outcome product +1, so the simulator draws those counts
+directly (Binomial / Multinomial) instead of individual trials: exact in
+distribution, with time and memory independent of ``trials_per_pair``.
 
 Reproducibility contract: every random stream is derived from the spec's
 master seed with a SplitMix64-style mixing function, one stream per
@@ -30,7 +35,7 @@ from .core import (
     validate_model,
 )
 from .lhv import STATISTIC_PATTERNS
-from .quantum import chsh_statistic, sample_correlated_outcomes
+from .quantum import chsh_statistic
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,6 +62,8 @@ def _float_bits(x: float) -> int:
 
 
 SOURCES = ("quantum", "quantum_white_noise", "lhv")
+#: Largest trial count numpy's binomial sampler accepts (int64).
+MAX_TRIALS_PER_PAIR = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
-        if self.trials_per_pair < 1:
-            raise ValueError("trials_per_pair must be >= 1")
+        if not 1 <= self.trials_per_pair <= MAX_TRIALS_PER_PAIR:
+            raise ValueError(
+                f"trials_per_pair must lie in [1, {MAX_TRIALS_PER_PAIR}], "
+                f"got {self.trials_per_pair!r}"
+            )
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
         if not 0 <= self.gamma <= 1:
@@ -154,35 +164,41 @@ def _experiment_pairs(spec: ExperimentSpec):
     return [(("a", "b"), a, b), (("a", "b2"), a, b2), (("a2", "b"), a2, b), (("a2", "b2"), a2, b2)]
 
 
-def _simulate_pair(spec: ExperimentSpec, pair, alice, bob, rng):
-    """One pair's outcome products and detection flags.
+def _simulate_pair(spec: ExperimentSpec, pair, alice, bob, rng) -> tuple[int, int]:
+    """One pair's sufficient statistics: the number of detected trials and
+    the number of those whose outcome product is +1.
 
-    RNG consumption order (part of the determinism contract): outcomes (or
-    atom draws) first, then detection flags.
+    Both counts are drawn exactly in distribution, in time and memory that do
+    not depend on ``trials_per_pair``. RNG consumption order (part of the
+    determinism contract):
+
+    - quantum family: ``n_det ~ Binomial(n, eta)`` (no draw when eta = 1),
+      then ``n_same ~ Binomial(n_det, (1 + rho) / 2)``;
+    - lhv: atom counts ``~ Multinomial(n, weights)``, then, under fair
+      sampling with eta < 1, the detected counts ``~ Binomial(counts, eta)``
+      atom by atom. Non-fair detection keeps the counts of the atoms the
+      model flags detected for the pair and draws nothing.
     """
     n = spec.trials_per_pair
     if spec.source in ("quantum", "quantum_white_noise"):
         scale = spec.gamma if spec.source == "quantum_white_noise" else 1.0
-        rho = scale * -alice.dot(bob)
-        alpha, beta = sample_correlated_outcomes(rho, rng, n)
-        products = (alpha * beta).astype(np.int8)
-        detected = rng.random(n) < spec.eta if spec.eta < 1.0 else np.ones(n, dtype=bool)
-        return products, detected
+        # |a.b| of two legal settings can exceed 1 by a few 1e-12
+        rho = min(max(scale * -alice.dot(bob), -1.0), 1.0)
+        n_det = n if spec.eta >= 1.0 else int(rng.binomial(n, spec.eta))
+        return n_det, int(rng.binomial(n_det, (1 + rho) / 2))
 
     m = spec.model
     s, t = pair
     weights = np.array([float(w) for w in m.weights], dtype=np.float64)
-    weights = weights / weights.sum()
-    atoms = rng.choice(m.n_atoms, size=n, p=weights)
-    a_vals = np.array([strat.a_out[s] for strat in m.strategy_at], dtype=np.int8)
-    b_vals = np.array([strat.b_out[t] for strat in m.strategy_at], dtype=np.int8)
-    products = a_vals[atoms] * b_vals[atoms]
-    if spec.fair_sampling:
-        detected = rng.random(n) < spec.eta if spec.eta < 1.0 else np.ones(n, dtype=bool)
+    counts = rng.multinomial(n, weights / weights.sum())
+    if not spec.fair_sampling:
+        detected = counts * np.array([flag[s + t] for flag in m.detect_flag], dtype=bool)
+    elif spec.eta < 1.0:
+        detected = rng.binomial(counts, spec.eta)
     else:
-        flags = np.array([flag[s + t] for flag in m.detect_flag], dtype=bool)
-        detected = flags[atoms]
-    return products, detected
+        detected = counts
+    same = np.array([strat.product(s, t) == 1 for strat in m.strategy_at], dtype=bool)
+    return int(detected.sum()), int(detected[same].sum())
 
 
 def _model_noise(spec: ExperimentSpec) -> NoiseParameters:
@@ -216,15 +232,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     estimates = []
     for index, (pair, alice, bob) in enumerate(_experiment_pairs(spec)):
         rng = np.random.default_rng(derive_seed(spec.seed, index))
-        products, detected = _simulate_pair(spec, pair, alice, bob, rng)
-        kept = products[detected]
-        if kept.size == 0:
+        n_det, n_same = _simulate_pair(spec, pair, alice, bob, rng)
+        if n_det == 0:
             raise RuntimeError(f"pair {pair}: no detected trials, cannot estimate")
-        rho = float(np.mean(kept, dtype=np.float64))
-        se = math.sqrt(max(1.0 - rho * rho, 0.0) / kept.size)
-        estimates.append(
-            PairEstimate(pair=pair, correlation=rho, n_detected=int(kept.size), std_error=se)
-        )
+        rho = (2 * n_same - n_det) / n_det
+        se = math.sqrt(max(1.0 - rho * rho, 0.0) / n_det)
+        estimates.append(PairEstimate(pair=pair, correlation=rho, n_detected=n_det, std_error=se))
 
     if spec.statistic == "ob":
         p1, p2, p3 = (e.correlation for e in estimates)

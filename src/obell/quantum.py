@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CorrelationTriple, MeasurementSetting, SettingTriple, make_setting
+from .core import UNIT_TOL, CorrelationTriple, MeasurementSetting, SettingTriple, make_setting
 
 #: Maximum of the three-correlation statistic over quantum settings.
 QUANTUM_OB_MAX = 1.5
@@ -190,9 +190,16 @@ def sample_correlated_outcomes(rho: float, rng: np.random.Generator, size: int |
     the four atoms ordered (+1,+1), (+1,-1), (-1,+1), (-1,-1): exact,
     branch-free, reproducible. With ``size=None`` returns a scalar pair,
     otherwise two int arrays.
+
+    This per-trial sampler is the reference for the count sampler that
+    ``run_experiment`` uses. ``rho`` may exceed [-1, 1] by the rounding that
+    settings within ``UNIT_TOL`` of unit norm allow; it is clamped after the
+    range check.
     """
-    if not -1 - 1e-12 <= rho <= 1 + 1e-12:
+    # two settings of norm up to 1 + UNIT_TOL give |a.b| up to (1 + UNIT_TOL)^2
+    if not abs(rho) <= 1 + 3 * UNIT_TOL:
         raise ValueError(f"product mean {rho!r} outside [-1, 1]")
+    rho = min(max(rho, -1.0), 1.0)
     p_same = (1 + rho) / 4  # P(+1,+1) = P(-1,-1)
     p_diff = (1 - rho) / 4
     cum = np.array([p_same, p_same + p_diff, p_same + 2 * p_diff])

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import obell
 from obell.cli import main
 from obell.core import model_to_json_str
 
@@ -184,6 +189,66 @@ class TestSimulateCommand:
         result = invoke(runner, "simulate", str(config))
         assert result.exit_code == 2
         assert "sourc" in result.output
+
+    def test_coincident_settings_at_unit_tolerance(self, runner, tmp_path):
+        # a.b = 1 + 1.8e-12: the correlation is clamped into [-1, 1]
+        near_unit = [1.0000000000009, 0, 0]
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**QUANTUM_CONFIG, "settings": {"a": near_unit, "b": near_unit, "c": [0, 1, 0]}})
+        )
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"), "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["pairs"][0]["correlation"] == -1.0
+
+    def test_non_finite_model_weight_is_usage_error(self, runner, tmp_path):
+        rng = np.random.default_rng(31)
+        wire = json.loads(model_to_json_str(random_perfect_model(rng)))
+        wire["weights"][0] = math.nan
+        (tmp_path / "model.json").write_text(json.dumps(wire))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": "lhv", "model": "model.json"}))
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert "atom 0: non-finite weight" in result.output
+
+    @pytest.mark.parametrize("trials", [True, False, 1.5, "100", 0, -3, 2**63])
+    def test_bad_trials_per_pair_is_usage_error(self, runner, tmp_path, trials):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**QUANTUM_CONFIG, "trials_per_pair": trials}))
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert "trials_per_pair" in result.output
+
+    def test_trillion_trials_in_bounded_memory(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**QUANTUM_CONFIG, "trials_per_pair": 1e12, "eta": 0.9}))
+        # the child reports its own peak RSS on its last stderr line
+        script = (
+            "import resource, sys\n"
+            "from obell.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        )
+        src = str(Path(obell.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", str(config), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_bytes = int(proc.stderr.strip().splitlines()[-1])
+        if sys.platform != "darwin":  # ru_maxrss is in KiB on Linux, bytes on macOS
+            peak_bytes *= 1024
+        assert peak_bytes < 200 * 2**20
+        payload = json.loads((tmp_path / "o" / "result.json").read_text())
+        assert all(p["n_detected"] > 8 * 10**11 for p in payload["pairs"])
 
 
 class TestSweepCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -126,6 +127,32 @@ class TestValidateModel:
             [_strategy((1, 1, 1), (-1, -1, -1)), _strategy((1, 1, 1), (-1, -1, -1))],
         )
         assert any("negative weight" in v for v in validate_model(m))
+
+    @pytest.mark.parametrize(
+        "weights, needle",
+        [
+            ([math.nan, 1.0], "atom 0: non-finite weight"),
+            ([1.0, math.inf], "atom 1: non-finite weight"),
+            ([True, False], "atom 0: weight True is a bool"),
+        ],
+        ids=["nan", "inf", "bool"],
+    )
+    def test_bad_weight_named(self, weights, needle):
+        m = HiddenVariableModel.build(
+            weights,
+            [_strategy((1, 1, 1), (-1, -1, -1)), _strategy((1, 1, 1), (-1, -1, -1))],
+        )
+        assert any(needle in v for v in validate_model(m))
+
+    def test_bool_weight_survives_json(self):
+        m = HiddenVariableModel.build(
+            [1.0, 0.0],
+            [_strategy((1, 1, 1), (-1, -1, -1)), _strategy((1, 1, 1), (-1, -1, -1))],
+        )
+        wire = json.loads(model_to_json_str(m))
+        wire["weights"] = [True, False]
+        parsed = model_from_json_str(json.dumps(wire))
+        assert any("is a bool" in v for v in validate_model(parsed))
 
 
 class TestJsonRoundTrip:

@@ -18,7 +18,7 @@ from obell.experiment import (
     sweep,
     sweep_csv,
 )
-from obell.quantum import QUANTUM_CHSH_MAX
+from obell.quantum import QUANTUM_CHSH_MAX, sample_correlated_outcomes
 
 from helpers import random_detection_model, random_perfect_model
 
@@ -106,12 +106,23 @@ class TestRunExperiment:
             assert est.n_detected / 1_000_000 == pytest.approx(0.9, abs=0.001)
 
     def test_fair_sampling_unbiased_with_shrinking_error(self):
-        errors = []
+        ses = {}
         for trials in (10_000, 100_000, 1_000_000):
             result = run_experiment(quantum_spec(eta=0.8, trials_per_pair=trials, seed=5))
-            errors.append(abs(result.statistic - 1.5))
+            ses[trials] = result.statistic_se
             assert abs(result.statistic - 1.5) <= 4 * result.statistic_se
-        assert errors[2] < errors[0]
+        # 100x the trials: the error bar shrinks 10x ...
+        assert 0.09 <= ses[1_000_000] / ses[10_000] <= 0.11
+        # ... and so does the error itself, measured over seeds, not one draw
+        def rms_error(trials):
+            errors = [
+                run_experiment(quantum_spec(eta=0.8, trials_per_pair=trials, seed=seed)).statistic
+                - 1.5
+                for seed in range(20)
+            ]
+            return math.sqrt(np.mean(np.square(errors)))
+
+        assert rms_error(1_000_000) < rms_error(10_000)
 
     def test_zero_detection_error_names_pair(self):
         rng = np.random.default_rng(2)
@@ -153,6 +164,74 @@ class TestRunExperiment:
         assert abs(result.statistic - QUANTUM_CHSH_MAX) <= 3 * result.statistic_se
         assert result.bound_used == 2.0
         assert result.violation_sigma > 5
+
+
+def assert_same_law(x, y):
+    """Mean and variance of two equal-size samples agree within 4 standard errors."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    k = len(x)
+    assert abs(x.mean() - y.mean()) <= 4 * math.sqrt((x.var() + y.var()) / k)
+    dx, dy = (x - x.mean()) ** 2, (y - y.mean()) ** 2
+    assert abs(dx.mean() - dy.mean()) <= 4 * math.sqrt((dx.var() + dy.var()) / k)
+
+
+class TestSamplerAgreement:
+    """run_experiment draws each pair's counts; the detected count and the
+    fraction of +1 products among detected trials must follow the law of
+    per-trial sampling."""
+
+    SEEDS = 1000
+    TRIALS = 400
+
+    def first_pair_counts(self, **kwargs):
+        """(n_detected, fraction of +1 products) of the first pair, per seed."""
+        counts = []
+        for seed in range(self.SEEDS):
+            result = run_experiment(quantum_spec(trials_per_pair=self.TRIALS, seed=seed, **kwargs))
+            est = result.pairs[0]
+            counts.append((est.n_detected, (1 + est.correlation) / 2))
+        return counts
+
+    def assert_agrees(self, simulated, reference):
+        for column in range(2):
+            assert_same_law([c[column] for c in simulated], [c[column] for c in reference])
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.7])
+    def test_quantum_counts_match_per_trial_sampler(self, rho, eta):
+        # -a.b = rho on the first pair (a, b)
+        settings = SettingTriple(
+            a=make_setting((1, 0, 0)),
+            b=make_setting((-rho, math.sqrt(1 - rho * rho), 0)),
+            c=make_setting((0, 0, 1)),
+        )
+        rng = np.random.default_rng(12345)
+        reference = []
+        for _ in range(self.SEEDS):
+            alpha, beta = sample_correlated_outcomes(rho, rng, self.TRIALS)
+            detected = rng.random(self.TRIALS) < eta
+            reference.append((detected.sum(), np.mean(alpha[detected] == beta[detected])))
+        self.assert_agrees(self.first_pair_counts(settings=settings, eta=eta), reference)
+
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_lhv_counts_match_per_atom_draws(self, fair):
+        if fair:  # 6 atoms, P(A_a B_b = +1) ~ 0.71
+            model, eta, pattern = random_perfect_model(np.random.default_rng(2), 6), 0.8, "e7"
+        else:  # 4 of 6 atoms detected on every pair, conditional P(+1) = 1/2
+            model, eta, pattern = random_detection_model(np.random.default_rng(3), 6, 4), 1.0, "e10"
+        weights = np.array([float(w) for w in model.weights])
+        same = np.array([strat.product("a", "b") == 1 for strat in model.strategy_at])
+        flags = np.array([flag["ab"] for flag in model.detect_flag])
+        rng = np.random.default_rng(54321)
+        reference = []
+        for _ in range(self.SEEDS):
+            atoms = rng.choice(model.n_atoms, size=self.TRIALS, p=weights / weights.sum())
+            detected = rng.random(self.TRIALS) < eta if fair else flags[atoms]
+            reference.append((detected.sum(), np.mean(same[atoms][detected])))
+        simulated = self.first_pair_counts(
+            source="lhv", model=model, eta=eta, fair_sampling=fair, pattern=pattern
+        )
+        self.assert_agrees(simulated, reference)
 
 
 class TestDetectionCensor:

@@ -192,6 +192,13 @@ class TestSampler:
         alpha, beta = sample_singlet_outcomes(X, X, rng, size=2000)
         assert np.all(alpha == -beta)
 
+    def test_coincident_settings_at_unit_tolerance(self):
+        # make_setting passes norms within 1e-12 through, so a.a can exceed 1
+        a = make_setting((1.0000000000009, 0, 0))
+        assert a.dot(a) > 1 + 1e-12
+        alpha, beta = sample_singlet_outcomes(a, a, np.random.default_rng(5), size=2000)
+        assert np.all(alpha == -beta)
+
     def test_orthogonal_settings_equiprobable(self):
         rng = np.random.default_rng(6)
         alpha, beta = sample_singlet_outcomes(X, Y, rng, size=100_000)
