@@ -95,6 +95,8 @@ class FeasibilityCell:
 def _grid_values(lo: float, hi: float, step: float) -> list[float]:
     if step <= 0:
         raise ValueError("step must be positive")
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     values = []

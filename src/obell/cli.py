@@ -3,6 +3,10 @@ LHV oracles, single simulations, and (gamma, eta) sweeps.
 
 Exit codes: 0 success / all checks pass, 1 assertion failure (a bound was
 exceeded or an optimizer fell short), 2 usage or configuration error.
+
+numpy loads only with ``quantum`` and ``experiment``, which are imported
+inside the subcommands that use them; ``bounds``, ``verify`` and a plain
+``sweep`` start without it.
 """
 from __future__ import annotations
 
@@ -17,8 +21,7 @@ from pathlib import Path
 import click
 
 from . import bounds as bounds_mod
-from . import experiment as exp_mod
-from . import lhv, quantum
+from . import lhv
 from .core import (
     NoiseParameters,
     SettingTriple,
@@ -118,6 +121,10 @@ def cmd_optimize(target, tolerance, grid, as_json):
     """Numerically maximize the chosen statistic and check the known optimum."""
     if tolerance <= 0:
         raise click.UsageError("tolerance must be positive")
+    if not math.isfinite(tolerance):
+        raise click.UsageError(f"--tolerance must be finite, got {tolerance}")
+    from . import quantum
+
     try:
         if target == "ob":
             kwargs = {} if grid is None else {"grid_points": grid}
@@ -149,7 +156,9 @@ def cmd_optimize(target, tolerance, grid, as_json):
 # verify
 
 
-def _snap(value: float, atoms: int) -> Fraction:
+def _snap(value: float, atoms: int, option: str) -> Fraction:
+    if not math.isfinite(value):
+        raise click.UsageError(f"--{option} must be finite, got {value}")
     return Fraction(round(value * atoms), atoms)
 
 
@@ -188,7 +197,7 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
         # control arm: no bound asserted, recorded for reference
         checks.append(("unconstrained enumeration (64 strategies)", str(maximum), "3 (control)", True))
     for eps in epsilons:
-        snapped = _snap(eps, atoms)
+        snapped = _snap(eps, atoms, "epsilon")
         if not 0 <= snapped <= 1:
             raise click.UsageError(f"epsilon {eps} outside [0, 1]")
         achieved = lhv.epsilon_ob_maximum(snapped, atoms)
@@ -197,7 +206,7 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
             (f"epsilon oracle eps={snapped} atoms={atoms}", str(achieved), str(bound), achieved <= bound)
         )
     for eta in etas:
-        snapped = _snap(eta, atoms)
+        snapped = _snap(eta, atoms, "eta")
         if not 0 < snapped <= 1:
             raise click.UsageError(f"eta {eta} outside (0, 1]")
         if atoms > 10:
@@ -291,6 +300,8 @@ def _parse_config_text(text: str) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"line {lineno}: {key}: {part} is already set to a value")
         node[parts[-1]] = parsed
     return cfg
 
@@ -311,7 +322,10 @@ def _trials_from_config(value) -> int:
     return int(value)
 
 
-def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None) -> exp_mod.ExperimentSpec:
+def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
+    """The ``ExperimentSpec`` a parsed config describes."""
+    from . import experiment as exp_mod
+
     known = {
         "source", "gamma", "eta", "fair_sampling", "trials_per_pair",
         "seed", "statistic", "pattern", "settings", "model",
@@ -322,14 +336,17 @@ def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None) -> exp_mod.
 
     statistic = cfg.get("statistic", "ob")
     raw_settings = cfg.get("settings")
-    if statistic == "chsh":
-        if not isinstance(raw_settings, list) or len(raw_settings) != 4:
-            raise ValueError("settings: chsh needs a list of 4 vectors")
-        settings = tuple(make_setting(v) for v in raw_settings)
-    elif raw_settings is None:
-        settings = setting_triple_from_json(_DEFAULT_SETTINGS)
-    else:
-        settings = setting_triple_from_json(raw_settings)
+    try:
+        if statistic == "chsh":
+            if not isinstance(raw_settings, list) or len(raw_settings) != 4:
+                raise ValueError("settings: chsh needs a list of 4 vectors")
+            settings = tuple(make_setting(v) for v in raw_settings)
+        elif raw_settings is None:
+            settings = setting_triple_from_json(_DEFAULT_SETTINGS)
+        else:
+            settings = setting_triple_from_json(raw_settings)
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"settings: malformed ({exc})") from exc
 
     model = None
     if cfg.get("source") == "lhv":
@@ -356,7 +373,7 @@ def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None) -> exp_mod.
     )
 
 
-def _load_spec(config_path: str, seed_override=None) -> exp_mod.ExperimentSpec:
+def _load_spec(config_path: str, seed_override=None):
     path = Path(config_path)
     try:
         cfg = _parse_config_text(path.read_text())
@@ -372,6 +389,8 @@ def _load_spec(config_path: str, seed_override=None) -> exp_mod.ExperimentSpec:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_simulate(config, out_dir, seed, as_json):
     """Run one seeded experiment; write result.json and result.csv."""
+    from . import experiment as exp_mod
+
     spec = _load_spec(config, seed_override=seed)
     try:
         result = exp_mod.run_experiment(spec)
@@ -417,7 +436,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
 @click.option("--step", type=float, default=0.01, show_default=True)
 @click.option("--simulate", "do_simulate", is_flag=True, help="Add empirical columns from Monte Carlo runs.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="0 = auto.")
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; has no effect (cells run in one thread).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, out_dir, as_json):
@@ -425,6 +445,8 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
     empirical sweep columns."""
     g_lo, g_hi = _parse_range(gamma_range, "gamma")
     e_lo, e_hi = _parse_range(eta_range, "eta")
+    if not math.isfinite(step):
+        raise click.UsageError(f"--step must be finite, got {step}")
     try:
         cells = bounds_mod.feasibility_grid((g_lo, g_hi), (e_lo, e_hi), step)
     except ValueError as exc:
@@ -442,6 +464,8 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
     header = "gamma,eta,bound,feasible"
 
     if do_simulate:
+        from . import experiment as exp_mod
+
         if config is not None:
             template = _load_spec(config, seed_override=seed)
         else:
@@ -455,7 +479,7 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
         etas = sorted({c.eta for c in cells})
         sim = {
             (s.gamma, s.eta): s
-            for s in exp_mod.sweep(template, gammas, etas, threads=threads)
+            for s in exp_mod.sweep(template, gammas, etas)
         }
         header += ",statistic,se,violation_sigma"
         for row in rows:

@@ -296,18 +296,30 @@ def model_to_json(m: HiddenVariableModel) -> dict:
     }
 
 
+def _json_object(value, field: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{field} entries must be objects, got {value!r}")
+    return value
+
+
 def model_from_json(obj: Mapping) -> HiddenVariableModel:
     try:
         weights = tuple(_number_from_json(w) for w in obj["weights"])
         strategies = tuple(
             DeterministicStrategy(
-                a_out={k: int(v) for k, v in s["a_out"].items()},
-                b_out={k: int(v) for k, v in s["b_out"].items()},
+                a_out={k: int(v) for k, v in _json_object(s["a_out"], "a_out").items()},
+                b_out={k: int(v) for k, v in _json_object(s["b_out"], "b_out").items()},
             )
             for s in obj["strategy_at"]
         )
-        anticorr = tuple({k: bool(v) for k, v in f.items()} for f in obj["anticorr_flag"])
-        detect = tuple({k: bool(v) for k, v in f.items()} for f in obj["detect_flag"])
+        anticorr = tuple(
+            {k: bool(v) for k, v in _json_object(f, "anticorr_flag").items()}
+            for f in obj["anticorr_flag"]
+        )
+        detect = tuple(
+            {k: bool(v) for k, v in _json_object(f, "detect_flag").items()}
+            for f in obj["detect_flag"]
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hidden-variable model JSON: {exc}") from exc
     return HiddenVariableModel(

@@ -18,7 +18,6 @@ identical specs give bit-identical results.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -283,18 +282,16 @@ def sweep(
     """Run one experiment per (gamma, eta) cell of a white-noise sweep.
 
     A failing cell is recorded with its error message, not fatal. Cells are
-    independent (per-cell derived seeds), so any thread count gives the same
-    results.
+    independent (per-cell derived seeds), so their order never matters.
+    ``threads`` is accepted for compatibility and has no effect: a cell takes
+    about 0.1 ms, less than handing it to a worker thread costs.
     """
     if not gamma_values or not eta_values:
         raise ValueError("gamma_values and eta_values must be nonempty")
     if template.source == "lhv":
         raise ValueError("sweeps over gamma require a quantum-family source")
 
-    cells = [(g, e) for g in gamma_values for e in eta_values]
-
-    def run_cell(cell):
-        g, e = cell
+    def run_cell(g, e):
         try:
             spec = replace(
                 template,
@@ -307,14 +304,7 @@ def sweep(
         except Exception as exc:  # recorded per cell
             return SweepCell(gamma=g, eta=e, result=None, error=str(exc))
 
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(c) for c in cells]
+    return [run_cell(g, e) for g in gamma_values for e in eta_values]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import UNIT_TOL, CorrelationTriple, MeasurementSetting, SettingTriple, make_setting
 
@@ -89,6 +88,108 @@ def _delta_param_array(p1, p2, th):
     return 2 * np.abs(s1 * np.sin(p2) * np.sin(th)) + 1 - 2 * s1 * s1
 
 
+class _OutOfEvaluations(Exception):
+    pass
+
+
+def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev) -> np.ndarray:
+    """Minimize ``fun`` by the Nelder-Mead simplex method; returns the best
+    vertex.
+
+    A port of scipy 1.17's ``minimize(method="Nelder-Mead")`` without bounds
+    or adaptive coefficients. It performs the same numpy operations in the
+    same order, so it returns the same point bit for bit; keep it that way.
+    It stops when the simplex spans at most ``xatol`` in every coordinate and
+    ``fatol`` in value, after ``maxiter`` iterations, or once ``maxfev``
+    evaluations are spent (an evaluation past the limit abandons the step).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+
+    fcalls = 0
+
+    def f(x):
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _OutOfEvaluations
+        fcalls += 1
+        return fun(x)
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    sim, fsim = sort(*sort(sim, fsim))  # scipy sorts twice here
+
+    iterations = 1
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = sort(sim, fsim)
+    return sim[0]
+
+
+#: Stopping rule of both maximizers' Nelder-Mead refinement.
+_NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000}
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
+
+
 def maximize_delta_q(
     tolerance: float, grid_points: int = 64
 ) -> tuple[SettingTriple, float]:
@@ -99,21 +200,14 @@ def maximize_delta_q(
     analytic maximum 3/2 by more than ``tolerance`` -- that would signal an
     implementation bug, not a property of the problem.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     grid = np.linspace(0.0, math.pi, grid_points)
     p1, p2, th = np.meshgrid(grid, grid, grid, indexing="ij")
     values = _delta_param_array(p1, p2, th)
     i, j, k = np.unravel_index(np.argmax(values), values.shape)
     x0 = np.array([grid[i], grid[j], grid[k]])
 
-    res = minimize(
-        lambda x: -_delta_param_array(*x),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-    )
-    best = ObAngles(*res.x)
+    best = ObAngles(*_nelder_mead(lambda x: -_delta_param_array(*x), x0, **_NM_OPTIONS))
     settings = angles_to_settings(best)
     value = delta_q(settings)
     if value < QUANTUM_OB_MAX - tolerance:
@@ -151,8 +245,7 @@ def maximize_chsh(
     angles. Raises if the optimum falls short of 2*sqrt(2) by more than
     ``tolerance``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     grid = np.linspace(0.0, 2 * math.pi, grid_points, endpoint=False)
     ta, ta2, tb, tb2 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
     values = np.abs(-np.cos(ta - tb) + np.cos(ta - tb2)) + np.abs(
@@ -161,13 +254,7 @@ def maximize_chsh(
     idx = np.unravel_index(np.argmax(values), values.shape)
     x0 = np.array([grid[i] for i in idx])
 
-    res = minimize(
-        lambda x: -chsh_from_planar_angles(*x),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-    )
-    angles = res.x
+    angles = _nelder_mead(lambda x: -chsh_from_planar_angles(*x), x0, **_NM_OPTIONS)
     settings = tuple(_planar(t) for t in angles)
     value = chsh_statistic(
         singlet_correlation(settings[0], settings[2]),

@@ -1,10 +1,16 @@
-"""Random model generators shared by the property and acceptance tests."""
+"""Random model generators shared by the property and acceptance tests, and
+a runner for child interpreters."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import obell
 from obell.core import LABELS, PAIR_KEYS, DeterministicStrategy, HiddenVariableModel
 from obell.lhv import make_detection_model, make_epsilon_model
 
@@ -81,3 +87,26 @@ def random_combined_model(
         for key in PAIR_KEYS
     }
     return make_detection_model(model, detect_sets)
+
+
+#: Address-space cap of a capped child: enough for numpy, small enough that
+#: a loop which keeps allocating fails within seconds.
+CHILD_MEMORY_CAP = 2**30
+
+
+def run_child(script: str, *args: str, timeout: float = 60, cap_memory: bool = False):
+    """Run ``python -c script args`` with this checkout's ``obell`` first on
+    the path; with ``cap_memory`` the child's address space is capped at
+    ``CHILD_MEMORY_CAP``."""
+    if cap_memory:
+        script = (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_MEMORY_CAP}, {CHILD_MEMORY_CAP}))\n"
+            + script
+        )
+    src = str(Path(obell.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )

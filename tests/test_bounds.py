@@ -17,6 +17,8 @@ from obell.bounds import (
 )
 from obell.core import NoiseParameters
 
+from helpers import run_child
+
 
 class TestBoundReports:
     def test_ob(self):
@@ -144,6 +146,18 @@ class TestFeasibilityGrid:
             feasibility_grid((0.9, 0.8), (0.5, 1.0), 0.01)
         with pytest.raises(ValueError):
             feasibility_grid((0.5, 1.0), (0.5, 1.0), 0.0)
+
+    def test_non_finite_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be finite"):
+            feasibility_grid((1.0, 1.0), (1.0, 1.0), math.inf)
+        # NaN passed the step <= 0 check and the grid grew without end, so
+        # it runs in a child process with capped memory
+        proc = run_child(
+            "from obell.bounds import feasibility_grid\n"
+            "feasibility_grid((1.0, 1.0), (1.0, 1.0), float('nan'))\n",
+            cap_memory=True,
+        )
+        assert "ValueError: step must be finite" in proc.stderr
 
     def test_csv_format(self):
         text = feasibility_grid_csv(feasibility_grid((1.0, 1.0), (1.0, 1.0), 0.01))

@@ -1,19 +1,16 @@
+import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import obell
 from obell.cli import main
 from obell.core import model_to_json_str
 
-from helpers import random_detection_model, random_perfect_model
+from helpers import random_detection_model, random_perfect_model, run_child
 
 
 @pytest.fixture
@@ -68,6 +65,14 @@ class TestOptimizeCommand:
         assert result.exit_code == 2
         assert "tolerance must be positive" in result.output
 
+    @pytest.mark.parametrize("target", ["ob", "chsh"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, runner, target, tolerance):
+        # both used to exit 0 without checking the optimum at all
+        result = invoke(runner, "optimize", target, "--tolerance", tolerance)
+        assert result.exit_code == 2
+        assert "--tolerance must be finite" in result.output
+
 
 class TestVerifyCommand:
     def test_default_battery_passes(self, runner):
@@ -112,6 +117,22 @@ class TestVerifyCommand:
         path.write_text('{"weights": [0.5]}')
         result = invoke(runner, "verify", "--model", str(path))
         assert result.exit_code == 2
+
+    def test_non_object_detect_flag_is_usage_error(self, runner, tmp_path):
+        wire = json.loads(model_to_json_str(random_detection_model(np.random.default_rng(5), 4, 3)))
+        wire["detect_flag"] = [5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(wire))
+        result = invoke(runner, "verify", "--model", str(path))
+        assert result.exit_code == 2
+        assert "detect_flag" in result.output
+
+    @pytest.mark.parametrize("option", ["--epsilon", "--eta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_probe_is_usage_error(self, runner, option, value):
+        result = invoke(runner, "verify", option, value)
+        assert result.exit_code == 2
+        assert f"{option} must be finite" in result.output
 
 
 QUANTUM_CONFIG = {
@@ -212,6 +233,25 @@ class TestSimulateCommand:
         assert result.exit_code == 2
         assert "atom 0: non-finite weight" in result.output
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"settings": 5}, {"statistic": "chsh", "settings": [1, 2, 3, 4]}],
+        ids=["ob-number", "chsh-numbers"],
+    )
+    def test_malformed_settings_is_usage_error(self, runner, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = invoke(runner, "simulate", str(path), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert "settings: malformed" in result.output
+
+    def test_key_value_config_value_then_table_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "config.cfg"
+        path.write_text("settings = 5\nsettings.a = [1, 0, 0]\n")
+        result = invoke(runner, "simulate", str(path), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert "line 2: settings.a: settings is already set" in result.output
+
     @pytest.mark.parametrize("trials", [True, False, 1.5, "100", 0, -3, 2**63])
     def test_bad_trials_per_pair_is_usage_error(self, runner, tmp_path, trials):
         config = tmp_path / "config.json"
@@ -232,16 +272,7 @@ class TestSimulateCommand:
             "finally:\n"
             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         )
-        src = str(Path(obell.__file__).resolve().parent.parent)
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "simulate", str(config), "--out", str(tmp_path / "o")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_child(script, "simulate", str(config), "--out", str(tmp_path / "o"), timeout=120)
         assert proc.returncode == 0, proc.stderr
         peak_bytes = int(proc.stderr.strip().splitlines()[-1])
         if sys.platform != "darwin":  # ru_maxrss is in KiB on Linux, bytes on macOS
@@ -283,6 +314,21 @@ class TestSweepCommand:
         result = invoke(runner, "sweep", "--gamma-range", "0.9:0.5")
         assert result.exit_code == 2
 
+    def test_nan_step_is_usage_error(self):
+        # NaN passed the step <= 0 check and the grid grew without end
+        proc = run_child(
+            "import sys\nfrom obell.cli import main\nmain(sys.argv[1:])",
+            "sweep", "--step", "nan", "--gamma-range", "1:1", "--eta-range", "1:1",
+            cap_memory=True,
+        )
+        assert proc.returncode == 2
+        assert "--step must be finite" in proc.stderr
+
+    def test_infinite_step_is_usage_error(self, runner):
+        result = invoke(runner, "sweep", "--step", "inf", "--gamma-range", "1:1", "--eta-range", "1:1")
+        assert result.exit_code == 2
+        assert "--step must be finite" in result.output
+
     def test_simulate_columns(self, runner, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(QUANTUM_CONFIG))
@@ -304,3 +350,59 @@ class TestSweepCommand:
         lines = (tmp_path / "o" / "sweep.csv").read_text().strip().split("\n")
         assert lines[0] == "gamma,eta,bound,feasible,statistic,se,violation_sigma"
         assert len(lines) == 3
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    """The exact bytes of each subcommand's output, pinned by sha256.
+
+    The hashes were taken from the toolkit when it still optimized with
+    ``scipy.optimize.minimize`` and imported every module eagerly; start-up
+    changes must not move a single byte. Numbers come from numpy and libm on
+    x86-64 Linux, so another platform may legitimately differ.
+    """
+
+    def _output(self, runner, *args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    def test_bounds_point(self, runner):
+        out = self._output(runner, "bounds", "--gamma", "0.98", "--eta", "0.9", "--json")
+        assert _sha256(out) == "b6e7a617f77a681765b52ecb4c2b712d5926b470eec56e233e065c4b45f5bfd2"
+
+    def test_verify(self, runner):
+        out = self._output(runner, "verify", "--json")
+        assert _sha256(out) == "d4633afe469a833c16becda64eaefebd5a88fa03ef315d0b6fd71777c27fac4c"
+
+    @pytest.mark.parametrize(
+        "target, digest",
+        [
+            ("ob", "d0e50ea73b5290ba6e4a5496d0764699f00bd9afc64ff4e99ebad47e671970b0"),
+            ("chsh", "9bf795b2c62536b41c0299c63e551d41c7089748416490d421433a8f07186dcb"),
+        ],
+    )
+    def test_optimize(self, runner, target, digest):
+        assert _sha256(self._output(runner, "optimize", target, "--json")) == digest
+
+    def test_simulate(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": "quantum", "trials_per_pair": 100000, "seed": 7}))
+        out = self._output(runner, "simulate", str(config), "--out", str(tmp_path / "o"), "--json")
+        result_json = "1d6c10cf6ada4558870cc34a8efc86f2ca24456c9b2079ffd3bd907f8de6e93c"
+        assert _sha256(out) == result_json
+        assert _sha256((tmp_path / "o" / "result.json").read_bytes()) == result_json
+        assert (
+            _sha256((tmp_path / "o" / "result.csv").read_bytes())
+            == "3aa52f0ab0cff0ae14a958a4f1f229c3d58854ebdf7cd554f96974860101325e"
+        )
+
+    def test_simulated_sweep(self, runner):
+        out = self._output(
+            runner, "sweep", "--simulate", "--gamma-range", "0.95:1.0", "--eta-range", "0.9:1.0"
+        )
+        assert len(out.splitlines()) == 67
+        assert _sha256(out) == "264f0927c32ed4cdcfcd3920dfc91bc54d43863caa985a6ff29926b0cdbbdbab"

@@ -183,3 +183,14 @@ class TestJsonRoundTrip:
     def test_malformed_model_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             model_from_json_str('{"weights": [1.0]}')
+
+    @pytest.mark.parametrize("field", ["detect_flag", "anticorr_flag", "a_out"])
+    def test_non_object_entries_name_the_field(self, field):
+        m = HiddenVariableModel.build([1.0], [_strategy((1, 1, 1), (-1, -1, -1))])
+        wire = json.loads(model_to_json_str(m))
+        if field == "a_out":
+            wire["strategy_at"][0]["a_out"] = 5
+        else:
+            wire[field] = [5]
+        with pytest.raises(ValueError, match=f"malformed.*{field} entries must be objects"):
+            model_from_json_str(json.dumps(wire))

@@ -9,6 +9,8 @@ from obell.quantum import (
     QUANTUM_CHSH_MAX,
     QUANTUM_OB_MAX,
     ObAngles,
+    _delta_param_array,
+    _nelder_mead,
     angles_to_settings,
     chsh_from_planar_angles,
     chsh_statistic,
@@ -153,6 +155,46 @@ class TestMaximizeDeltaQ:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             maximize_delta_q(0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tolerance):
+        for maximize in (maximize_delta_q, maximize_chsh):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                maximize(tolerance)
+
+
+class TestNelderMead:
+    """The built-in simplex search returns scipy's Nelder-Mead point bit for
+    bit, so the maximizers print what they printed when they called scipy."""
+
+    #: (maxiter, maxfev): the maximizers' own limits, then limits that stop
+    #: after 3 iterations, inside the initial simplex, and mid-search.
+    LIMITS = [(4000, 8000), (3, 8000), (4000, 5), (25, 40)]
+
+    @pytest.mark.parametrize(
+        "objective, dim, span",
+        [
+            (lambda x: -_delta_param_array(*x), 3, math.pi),
+            (lambda x: -chsh_from_planar_angles(*x), 4, 2 * math.pi),
+        ],
+        ids=["ob", "chsh"],
+    )
+    def test_matches_scipy(self, objective, dim, span):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(2018)
+        for start in range(60):
+            x0 = rng.uniform(0, span, dim)
+            if start % 3 == 0:  # zero coordinates take the other initial step
+                x0[rng.integers(dim)] = 0.0
+            if start == 0:
+                x0[:] = 0.0
+            for maxiter, maxfev in self.LIMITS:
+                options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": maxiter, "maxfev": maxfev}
+                expected = minimize(objective, x0, method="Nelder-Mead", options=options).x
+                assert np.array_equal(_nelder_mead(objective, x0, **options), expected), (
+                    start, maxiter, maxfev,
+                )
 
 
 class TestChsh:
