@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "CorrelationTriple", "DeterministicStrategy", "HiddenVariableModel",
-        "MeasurementSetting", "NoiseParameters", "SettingTriple", "TrialRecord",
+        "MeasurementSetting", "NoiseParameters", "SettingTriple",
         "make_setting", "validate_model",
     ),
     "bounds": (
@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "quantum": (
         "ObAngles", "chsh_statistic", "delta_q", "delta_q_parametrized", "maximize_chsh",
-        "maximize_delta_q", "ob_statistic", "sample_singlet_outcomes", "singlet_correlation",
+        "maximize_delta_q", "ob_statistic", "singlet_correlation",
     ),
     "lhv": (
         "classical_ob_maximum", "detection_ob_maximum", "enumerate_strategies",

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import NoiseParameters
 
@@ -55,15 +54,9 @@ def theorem3_bound(eta: float) -> float:
 
 
 def theorem4_bound(params: NoiseParameters) -> float:
-    """Combined classical bound: (4 + 2*epsilon - 3*eta) / eta.
-
-    The gamma form (6 - 2*gamma - 3*eta) / eta is the same expression; both
-    are evaluated and cross-checked to guard against parameter mix-ups.
-    """
-    eps_form = (4 + 2 * params.epsilon - 3 * params.eta) / params.eta
-    gamma_form = (6 - 2 * params.gamma - 3 * params.eta) / params.eta
-    assert abs(eps_form - gamma_form) <= 1e-12
-    return eps_form
+    """Combined classical bound: (4 + 2*epsilon - 3*eta) / eta, which is
+    (6 - 2*gamma - 3*eta) / eta in terms of gamma = 1 - epsilon."""
+    return (4 + 2 * params.epsilon - 3 * params.eta) / params.eta
 
 
 def violation_feasible(params: NoiseParameters) -> bool:
@@ -135,13 +128,3 @@ def feasibility_grid(
                 )
             )
     return cells
-
-
-def feasibility_grid_csv(cells: Sequence[FeasibilityCell]) -> str:
-    """CSV serialization: header gamma,eta,bound,feasible; 6 decimal places."""
-    lines = ["gamma,eta,bound,feasible"]
-    for c in cells:
-        lines.append(
-            f"{c.gamma:.6f},{c.eta:.6f},{c.bound:.6f},{'true' if c.feasible else 'false'}"
-        )
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,14 +125,13 @@ def cmd_optimize(target, tolerance, grid, as_json):
         raise click.UsageError(f"--tolerance must be finite, got {tolerance}")
     from . import quantum
 
+    kwargs = {} if grid is None else {"grid_points": grid}
     try:
         if target == "ob":
-            kwargs = {} if grid is None else {"grid_points": grid}
             settings, value = quantum.maximize_delta_q(tolerance, **kwargs)
             vectors = {lab: list(settings.get(lab).axis) for lab in ("a", "b", "c")}
             analytic = quantum.QUANTUM_OB_MAX
         else:
-            kwargs = {} if grid is None else {"grid_points": grid}
             four, value = quantum.maximize_chsh(tolerance, **kwargs)
             vectors = {
                 lab: list(s.axis) for lab, s in zip(("a", "a2", "b", "b2"), four)
@@ -226,16 +225,12 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
         violations = validate_model(model)
         if violations:
             raise click.UsageError("invalid model: " + "; ".join(violations))
-        eps_hat = max(
-            sum(float(w) for w, f in zip(model.weights, model.anticorr_flag) if not f[s])
-            for s in ("a", "b", "c")
-        )
+        eps_hat, eta_hat = model.epsilon_hat, model.eta_hat
         delta = float(lhv.model_ob_statistic(model, pattern="e7"))
         bound2 = bounds_mod.theorem2_bound(eps_hat)
         checks.append(
             (f"model file (pattern e7, eps_hat={_fmt(eps_hat)})", _fmt(delta), _fmt(bound2), delta <= bound2 + 1e-9)
         )
-        eta_hat = sum(float(w) for w, d in zip(model.weights, model.detect_flag) if d["ab"])
         if eta_hat < 1 - 1e-12:
             delta_t = float(lhv.model_ob_statistic(model, pattern="e10", conditional=True))
             bound4 = bounds_mod.theorem4_bound(NoiseParameters(epsilon=eps_hat, eta=eta_hat))
@@ -313,28 +308,48 @@ _DEFAULT_SETTINGS = {
 }
 
 
-def _trials_from_config(value) -> int:
-    """``trials_per_pair`` as an int: a whole JSON number, not a bool
-    (``ExperimentSpec`` checks the range)."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"trials_per_pair must be a whole number, got {value!r}")
-    return int(value)
+#: The type of each scalar config field (int: a whole number), and its default.
+_CONFIG_FIELDS = {
+    "source": (str, "quantum"),
+    "statistic": (str, "ob"),
+    "pattern": (str, "e7"),
+    "model": (str, None),
+    "fair_sampling": (bool, True),
+    "gamma": (float, 1.0),
+    "eta": (float, 1.0),
+    "trials_per_pair": (int, 100_000),
+    "seed": (int, 0),
+}
+_TYPE_NAMES = {str: "a string", bool: "true or false", float: "a number", int: "a whole number"}
+
+
+def _config_field(cfg: dict, key: str):
+    """``cfg[key]``, or the field's default, checked against the field's type
+    and never coerced: a bool is not a number, nor a string a bool. A whole
+    number may be an integral float (``1e6``). ``ExperimentSpec`` checks ranges.
+    """
+    kind, default = _CONFIG_FIELDS[key]
+    value = cfg.get(key, default)
+    if kind in (float, int):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+    else:
+        ok = isinstance(value, kind) or (value is None and default is None)
+    if not ok:
+        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value if kind in (str, bool) else kind(value)
 
 
 def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
     """The ``ExperimentSpec`` a parsed config describes."""
     from . import experiment as exp_mod
 
-    known = {
-        "source", "gamma", "eta", "fair_sampling", "trials_per_pair",
-        "seed", "statistic", "pattern", "settings", "model",
-    }
-    unknown = sorted(set(cfg) - known)
+    unknown = sorted(set(cfg) - set(_CONFIG_FIELDS) - {"settings"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    fields = {key: _config_field(cfg, key) for key in _CONFIG_FIELDS}
 
-    statistic = cfg.get("statistic", "ob")
+    statistic = fields["statistic"]
     raw_settings = cfg.get("settings")
     try:
         if statistic == "chsh":
@@ -348,29 +363,16 @@ def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
     except TypeError as exc:  # a value of the wrong JSON type
         raise ValueError(f"settings: malformed ({exc})") from exc
 
-    model = None
-    if cfg.get("source") == "lhv":
-        model_ref = cfg.get("model")
+    model, model_ref = None, fields.pop("model")
+    if fields["source"] == "lhv":
         if model_ref is None:
             raise ValueError("model: required for source lhv (path to model JSON)")
-        model_path = Path(model_ref)
-        if not model_path.is_absolute():
-            model_path = base_dir / model_path
-        model = model_from_json_str(model_path.read_text())
+        # base_dir / an absolute path is that path
+        model = model_from_json_str((base_dir / model_ref).read_text())
 
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    return exp_mod.ExperimentSpec(
-        source=cfg.get("source", "quantum"),
-        settings=settings,
-        trials_per_pair=_trials_from_config(cfg.get("trials_per_pair", 100_000)),
-        seed=int(seed),
-        eta=float(cfg.get("eta", 1.0)),
-        gamma=float(cfg.get("gamma", 1.0)),
-        fair_sampling=bool(cfg.get("fair_sampling", True)),
-        model=model,
-        statistic=statistic,
-        pattern=cfg.get("pattern", "e7"),
-    )
+    if seed_override is not None:
+        fields["seed"] = seed_override
+    return exp_mod.ExperimentSpec(settings=settings, model=model, **fields)
 
 
 def _load_spec(config_path: str, seed_override=None):
@@ -452,15 +454,7 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    rows = [
-        {
-            "gamma": c.gamma,
-            "eta": c.eta,
-            "bound": c.bound,
-            "feasible": c.feasible,
-        }
-        for c in cells
-    ]
+    rows = [asdict(c) for c in cells]  # gamma, eta, bound, feasible
     header = "gamma,eta,bound,feasible"
 
     if do_simulate:
@@ -477,10 +471,10 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
             )
         gammas = sorted({c.gamma for c in cells})
         etas = sorted({c.eta for c in cells})
-        sim = {
-            (s.gamma, s.eta): s
-            for s in exp_mod.sweep(template, gammas, etas)
-        }
+        try:
+            sim = {(s.gamma, s.eta): s for s in exp_mod.sweep(template, gammas, etas)}
+        except ValueError as exc:  # a config whose source cannot be swept
+            raise click.UsageError(f"config {config}: {exc}")
         header += ",statistic,se,violation_sigma"
         for row in rows:
             cell = sim[(row["gamma"], row["eta"])]

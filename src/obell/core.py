@@ -159,6 +159,21 @@ class HiddenVariableModel:
     def n_atoms(self) -> int:
         return len(self.weights)
 
+    @property
+    def epsilon_hat(self) -> float:
+        """The anti-correlation defect: the largest mass, over the settings,
+        off that setting's anti-correlated set (a float sum, atom by atom)."""
+        return max(
+            sum(float(w) for w, flag in zip(self.weights, self.anticorr_flag) if not flag[s])
+            for s in LABELS
+        )
+
+    @property
+    def eta_hat(self) -> float:
+        """The joint detection efficiency: the mass detected for the pair
+        (a, b) (a float sum, atom by atom)."""
+        return sum(float(w) for w, d in zip(self.weights, self.detect_flag) if d["ab"])
+
     @classmethod
     def build(
         cls,
@@ -233,27 +248,6 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
                     f"atom {i}: anticorr_flag[{s!r}] clear but b_out[{s!r}] != a_out[{s!r}]"
                 )
     return violations
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated experimental event.
-
-    Outcomes are +-1 regardless of the detection flag: undetected events
-    exist in the model but are excluded from conditional estimates.
-    """
-
-    setting_pair: tuple[str, str]
-    outcome_alice: int
-    outcome_bob: int
-    detected: bool
-
-    def __post_init__(self) -> None:
-        s, t = self.setting_pair
-        if s not in LABELS or t not in LABELS:
-            raise ValueError(f"unknown setting pair {self.setting_pair!r}")
-        if self.outcome_alice not in (1, -1) or self.outcome_bob not in (1, -1):
-            raise ValueError("outcomes must be +-1")
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,10 @@ import numpy as np
 
 from . import bounds
 from .core import (
-    LABELS,
     HiddenVariableModel,
     MeasurementSetting,
     NoiseParameters,
     SettingTriple,
-    TrialRecord,
     validate_model,
 )
 from .lhv import STATISTIC_PATTERNS
@@ -134,26 +132,6 @@ class ExperimentResult:
     violation_sigma: float
 
 
-def detection_censor(
-    record: TrialRecord, eta: float, rng: np.random.Generator, fair_sampling: bool = True
-) -> TrialRecord:
-    """Redraw a trial's detection flag as an independent Bernoulli(eta).
-
-    Only the fair-sampling path is available here: a bare trial record
-    carries no hidden variable, so model-driven (non-fair) detection can only
-    be applied inside run_experiment where the atom is known.
-    """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    if not fair_sampling:
-        raise ValueError(
-            "non-fair detection censoring needs the hidden variable; "
-            "only run_experiment with an lhv source supports it"
-        )
-    detected = True if eta >= 1.0 else bool(rng.random() < eta)
-    return replace(record, detected=detected)
-
-
 def _experiment_pairs(spec: ExperimentSpec):
     """(label pair, Alice setting, Bob setting) per measured pair."""
     if spec.statistic == "ob":
@@ -207,15 +185,8 @@ def _model_noise(spec: ExperimentSpec) -> NoiseParameters:
     elif spec.source == "quantum_white_noise":
         eps = 1.0 - spec.gamma
     else:
-        m = spec.model
-        eps = max(
-            sum(float(w) for w, flag in zip(m.weights, m.anticorr_flag) if not flag[s])
-            for s in LABELS
-        )
-    if spec.source == "lhv" and not spec.fair_sampling:
-        eta = sum(float(w) for w, d in zip(spec.model.weights, spec.model.detect_flag) if d["ab"])
-    else:
-        eta = spec.eta
+        eps = spec.model.epsilon_hat
+    eta = spec.model.eta_hat if spec.source == "lhv" and not spec.fair_sampling else spec.eta
     return NoiseParameters(epsilon=min(max(eps, 0.0), 1.0), eta=eta)
 
 
@@ -277,19 +248,20 @@ def sweep(
     template: ExperimentSpec,
     gamma_values: Sequence[float],
     eta_values: Sequence[float],
-    threads: int = 1,
 ) -> list[SweepCell]:
     """Run one experiment per (gamma, eta) cell of a white-noise sweep.
 
     A failing cell is recorded with its error message, not fatal. Cells are
-    independent (per-cell derived seeds), so their order never matters.
-    ``threads`` is accepted for compatibility and has no effect: a cell takes
-    about 0.1 ms, less than handing it to a worker thread costs.
+    independent (per-cell derived seeds), so their order never matters. They
+    run in one thread: a cell takes about 0.1 ms, less than handing it to a
+    worker thread costs.
     """
     if not gamma_values or not eta_values:
         raise ValueError("gamma_values and eta_values must be nonempty")
     if template.source == "lhv":
-        raise ValueError("sweeps over gamma require a quantum-family source")
+        raise ValueError(
+            f"source: sweeps over gamma need a quantum-family source, got {template.source!r}"
+        )
 
     def run_cell(g, e):
         try:
@@ -342,13 +314,3 @@ def summary_csv_row(gamma: float, eta: float, result: ExperimentResult) -> str:
         result.violation_sigma,
     )
     return ",".join(f"{x:.10g}" for x in fields)
-
-
-def sweep_csv(cells: Sequence[SweepCell]) -> str:
-    lines = [SUMMARY_CSV_HEADER]
-    for c in cells:
-        if c.result is None:
-            lines.append(f"{c.gamma:.10g},{c.eta:.10g},nan,nan,nan,nan")
-        else:
-            lines.append(summary_csv_row(c.gamma, c.eta, c.result))
-    return "\n".join(lines) + "\n"

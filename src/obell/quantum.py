@@ -179,15 +179,29 @@ def _nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev) -> np.ndarray:
     return sim[0]
 
 
-#: Stopping rule of both maximizers' Nelder-Mead refinement.
-_NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000}
-
-
 def _check_tolerance(tolerance: float) -> None:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
+
+
+def _refine(objective, grid, values) -> np.ndarray:
+    """Maximize ``objective(*x)`` from the best point of a coarse search:
+    ``values`` holds the objective on the product grid ``grid`` x ... x
+    ``grid``, and Nelder-Mead refines its argmax."""
+    idx = np.unravel_index(np.argmax(values), values.shape)
+    x0 = np.array([grid[i] for i in idx])
+    return _nelder_mead(
+        lambda x: -objective(*x), x0, xatol=1e-10, fatol=1e-13, maxiter=4000, maxfev=8000
+    )
+
+
+def _check_reached(value: float, target: float, tolerance: float) -> None:
+    """Raise if an optimum falls short of the known maximum by more than
+    ``tolerance``: that signals a bug, not a property of the problem."""
+    if value < target - tolerance:
+        raise RuntimeError(f"optimizer reached {value!r}, short of {target} - {tolerance}")
 
 
 def maximize_delta_q(
@@ -197,23 +211,15 @@ def maximize_delta_q(
 
     The objective is non-smooth (absolute value), so refinement is
     derivative-free. Raises if the refined optimum falls short of the known
-    analytic maximum 3/2 by more than ``tolerance`` -- that would signal an
-    implementation bug, not a property of the problem.
+    analytic maximum 3/2 by more than ``tolerance``.
     """
     _check_tolerance(tolerance)
     grid = np.linspace(0.0, math.pi, grid_points)
     p1, p2, th = np.meshgrid(grid, grid, grid, indexing="ij")
-    values = _delta_param_array(p1, p2, th)
-    i, j, k = np.unravel_index(np.argmax(values), values.shape)
-    x0 = np.array([grid[i], grid[j], grid[k]])
-
-    best = ObAngles(*_nelder_mead(lambda x: -_delta_param_array(*x), x0, **_NM_OPTIONS))
+    best = ObAngles(*_refine(_delta_param_array, grid, _delta_param_array(p1, p2, th)))
     settings = angles_to_settings(best)
     value = delta_q(settings)
-    if value < QUANTUM_OB_MAX - tolerance:
-        raise RuntimeError(
-            f"optimizer reached {value!r}, short of {QUANTUM_OB_MAX} - {tolerance}"
-        )
+    _check_reached(value, QUANTUM_OB_MAX, tolerance)
     return settings, value
 
 
@@ -251,21 +257,14 @@ def maximize_chsh(
     values = np.abs(-np.cos(ta - tb) + np.cos(ta - tb2)) + np.abs(
         -np.cos(ta2 - tb) - np.cos(ta2 - tb2)
     )
-    idx = np.unravel_index(np.argmax(values), values.shape)
-    x0 = np.array([grid[i] for i in idx])
-
-    angles = _nelder_mead(lambda x: -chsh_from_planar_angles(*x), x0, **_NM_OPTIONS)
-    settings = tuple(_planar(t) for t in angles)
+    settings = tuple(_planar(t) for t in _refine(chsh_from_planar_angles, grid, values))
     value = chsh_statistic(
         singlet_correlation(settings[0], settings[2]),
         singlet_correlation(settings[0], settings[3]),
         singlet_correlation(settings[1], settings[2]),
         singlet_correlation(settings[1], settings[3]),
     )
-    if value < QUANTUM_CHSH_MAX - tolerance:
-        raise RuntimeError(
-            f"optimizer reached {value!r}, short of {QUANTUM_CHSH_MAX} - {tolerance}"
-        )
+    _check_reached(value, QUANTUM_CHSH_MAX, tolerance)
     return settings, value
 
 
@@ -297,10 +296,3 @@ def sample_correlated_outcomes(rho: float, rng: np.random.Generator, size: int |
     if size is None:
         return int(alpha), int(beta)
     return alpha.astype(np.int8), beta.astype(np.int8)
-
-
-def sample_singlet_outcomes(
-    a: MeasurementSetting, b: MeasurementSetting, rng: np.random.Generator, size: int | None = None
-):
-    """Sample singlet measurement outcomes along axes a and b."""
-    return sample_correlated_outcomes(singlet_correlation(a, b), rng, size)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from obell.bounds import (
     BoundReport,
     chsh_bounds,
     feasibility_grid,
-    feasibility_grid_csv,
     ob_bounds,
     theorem2_bound,
     theorem3_bound,
@@ -15,6 +15,7 @@ from obell.bounds import (
     violation_feasible,
     white_noise_quantum_value,
 )
+from obell.cli import main
 from obell.core import NoiseParameters
 
 from helpers import run_child
@@ -160,7 +161,8 @@ class TestFeasibilityGrid:
         assert "ValueError: step must be finite" in proc.stderr
 
     def test_csv_format(self):
-        text = feasibility_grid_csv(feasibility_grid((1.0, 1.0), (1.0, 1.0), 0.01))
-        lines = text.strip().split("\n")
+        # cmd_sweep is the one writer of the feasibility grid's CSV
+        result = CliRunner().invoke(main, ["sweep", "--gamma-range", "1:1", "--eta-range", "1:1"])
+        lines = result.output.strip().split("\n")
         assert lines[0] == "gamma,eta,bound,feasible"
         assert lines[1] == "1.000000,1.000000,1.000000,true"

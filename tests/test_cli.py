@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from obell.cli import main
 from obell.core import model_to_json_str
 
-from helpers import random_detection_model, random_perfect_model, run_child
+from helpers import random_combined_model, random_detection_model, random_perfect_model, run_child
 
 
 @pytest.fixture
@@ -260,6 +260,22 @@ class TestSimulateCommand:
         assert result.exit_code == 2
         assert "trials_per_pair" in result.output
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("seed", "Infinity"), ("seed", "1.7"), ("eta", "[1]"), ("eta", "true"),
+            ("pattern", "[1]"), ("fair_sampling", '"false"'), ("gamma", '"0.5"'),
+            ("model", "5"), ("source", "null"), ("fair_sampling", "null"),
+        ],
+    )
+    def test_mistyped_config_field_is_usage_error(self, runner, tmp_path, field, text):
+        # once coerced (seed 1.7 ran as 1, "false" as True) or a traceback
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"source": "lhv", "trials_per_pair": 100, "{field}": {text}}}')
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert f"{field} must be" in result.output
+
     def test_trillion_trials_in_bounded_memory(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**QUANTUM_CONFIG, "trials_per_pair": 1e12, "eta": 0.9}))
@@ -328,6 +344,17 @@ class TestSweepCommand:
         result = invoke(runner, "sweep", "--step", "inf", "--gamma-range", "1:1", "--eta-range", "1:1")
         assert result.exit_code == 2
         assert "--step must be finite" in result.output
+
+    def test_lhv_config_is_usage_error(self, runner, tmp_path):
+        model = random_perfect_model(np.random.default_rng(31))
+        (tmp_path / "model.json").write_text(model_to_json_str(model))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": "lhv", "model": "model.json"}))
+        result = invoke(
+            runner, "sweep", str(config), "--simulate", "--gamma-range", "1:1", "--eta-range", "1:1"
+        )
+        assert result.exit_code == 2
+        assert "source: sweeps over gamma need a quantum-family source, got 'lhv'" in result.output
 
     def test_simulate_columns(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -406,3 +433,51 @@ class TestGoldenBytes:
         )
         assert len(out.splitlines()) == 67
         assert _sha256(out) == "264f0927c32ed4cdcfcd3920dfc91bc54d43863caa985a6ff29926b0cdbbdbab"
+
+    def test_plain_sweep(self, runner, tmp_path):
+        out = self._output(
+            runner, "sweep", "--gamma-range", "0.9:1", "--eta-range", "0.85:1",
+            "--out", str(tmp_path / "o"),
+        )
+        digest = "2c755be279413e372eadca5325d23b7621660cbe985cfb1adda85996c1ea6547"
+        assert _sha256(out) == digest
+        assert _sha256((tmp_path / "o" / "sweep.csv").read_bytes()) == digest
+
+    @staticmethod
+    def _combined_model_file(tmp_path):
+        """A 6-atom model with both defects: epsilon = 1/6, eta = 5/6."""
+        model = random_combined_model(np.random.default_rng(60), 6, 1, 5)
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json_str(model))
+        return path
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ((), "b6485ec2e181661d5a379c889ba5abf370c55f4879e2b37d5cf0e6d28552754d"),
+            (("--json",), "64bbd6bc130a2e6665246b4aaff359595ff17e90fd0622dbd1adb83795ab05ed"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_verify_model(self, runner, tmp_path, flags, digest):
+        model = str(self._combined_model_file(tmp_path))
+        assert _sha256(self._output(runner, "verify", "--model", model, *flags)) == digest
+
+    def test_simulate_lhv_non_fair(self, runner, tmp_path):
+        self._combined_model_file(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "source": "lhv", "model": "model.json", "fair_sampling": False,
+                    "pattern": "e10", "trials_per_pair": 30000, "seed": 5,
+                }
+            )
+        )
+        out = self._output(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert _sha256(out) == "648e1af23a9c50a3dbefe1551b46d819ea13c74b00f4cc01bf10d5d524319687"
+        written = {name: _sha256((tmp_path / "o" / name).read_bytes()) for name in ("result.json", "result.csv")}
+        assert written == {
+            "result.json": "40bb014e7017bc40943674276c57e52279e8d9f738cf10c74d6f2c49572f0441",
+            "result.csv": "f79a0013ac983d79686aa594e335db83eab7a9643c18a1cc3adb4c8f95954be6",
+        }

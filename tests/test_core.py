@@ -15,7 +15,6 @@ from obell.core import (
     MeasurementSetting,
     NoiseParameters,
     SettingTriple,
-    TrialRecord,
     make_setting,
     model_from_json_str,
     model_to_json_str,
@@ -80,13 +79,6 @@ class TestDomainTypes:
             DeterministicStrategy(a_out={"a": 1, "b": 0, "c": 1}, b_out={"a": -1, "b": -1, "c": -1})
         with pytest.raises(ValueError, match="labels"):
             DeterministicStrategy(a_out={"a": 1, "b": 1}, b_out={"a": -1, "b": -1, "c": -1})
-
-    def test_trial_record_validation(self):
-        TrialRecord(setting_pair=("a", "b"), outcome_alice=1, outcome_bob=-1, detected=False)
-        with pytest.raises(ValueError):
-            TrialRecord(setting_pair=("a", "d"), outcome_alice=1, outcome_bob=1, detected=True)
-        with pytest.raises(ValueError):
-            TrialRecord(setting_pair=("a", "b"), outcome_alice=0, outcome_bob=1, detected=True)
 
     def test_setting_triple_coincident_legal(self):
         s = make_setting((0, 0, 1))

@@ -13,18 +13,19 @@ import obell
 
 from helpers import run_child
 
-#: ``obell.__all__`` as it was when the package imported every module eagerly.
+#: ``obell.__all__`` as it was when the package imported every module eagerly,
+#: less ``TrialRecord`` and ``sample_singlet_outcomes``, which only tests used.
 PUBLIC_NAMES = [
     "BoundReport", "CorrelationTriple", "DeterministicStrategy", "ExperimentResult",
     "ExperimentSpec", "HiddenVariableModel", "MeasurementSetting", "NoiseParameters",
-    "ObAngles", "SettingTriple", "TrialRecord", "bounds", "chsh_bounds", "chsh_statistic",
+    "ObAngles", "SettingTriple", "bounds", "chsh_bounds", "chsh_statistic",
     "classical_ob_maximum", "core", "delta_q", "delta_q_parametrized", "detection_ob_maximum",
     "enumerate_strategies", "epsilon_ob_maximum", "experiment", "feasibility_grid", "lhv",
     "lhv_conditional_correlation", "lhv_correlation", "make_detection_model",
     "make_epsilon_model", "make_setting", "maximize_chsh", "maximize_delta_q", "ob_bounds",
-    "ob_statistic", "quantum", "run_experiment", "sample_singlet_outcomes",
-    "singlet_correlation", "sweep", "theorem2_bound", "theorem3_bound", "theorem4_bound",
-    "validate_model", "violation_feasible", "white_noise_quantum_value",
+    "ob_statistic", "quantum", "run_experiment", "singlet_correlation", "sweep",
+    "theorem2_bound", "theorem3_bound", "theorem4_bound", "validate_model",
+    "violation_feasible", "white_noise_quantum_value",
 ]
 SUBMODULES = ("bounds", "core", "experiment", "lhv", "quantum")
 

@@ -20,7 +20,6 @@ from obell.quantum import (
     maximize_delta_q,
     ob_statistic,
     sample_correlated_outcomes,
-    sample_singlet_outcomes,
     singlet_correlation,
     singlet_correlations,
 )
@@ -231,19 +230,20 @@ class TestChsh:
 class TestSampler:
     def test_equal_settings_always_opposite(self):
         rng = np.random.default_rng(5)
-        alpha, beta = sample_singlet_outcomes(X, X, rng, size=2000)
+        alpha, beta = sample_correlated_outcomes(singlet_correlation(X, X), rng, size=2000)
         assert np.all(alpha == -beta)
 
     def test_coincident_settings_at_unit_tolerance(self):
         # make_setting passes norms within 1e-12 through, so a.a can exceed 1
         a = make_setting((1.0000000000009, 0, 0))
         assert a.dot(a) > 1 + 1e-12
-        alpha, beta = sample_singlet_outcomes(a, a, np.random.default_rng(5), size=2000)
+        rng = np.random.default_rng(5)
+        alpha, beta = sample_correlated_outcomes(singlet_correlation(a, a), rng, size=2000)
         assert np.all(alpha == -beta)
 
     def test_orthogonal_settings_equiprobable(self):
         rng = np.random.default_rng(6)
-        alpha, beta = sample_singlet_outcomes(X, Y, rng, size=100_000)
+        alpha, beta = sample_correlated_outcomes(singlet_correlation(X, Y), rng, size=100_000)
         for a_val in (1, -1):
             for b_val in (1, -1):
                 frac = np.mean((alpha == a_val) & (beta == b_val))
@@ -253,7 +253,7 @@ class TestSampler:
     def test_half_overlap_monte_carlo(self):
         rng = np.random.default_rng(7)
         b = make_setting((0.5, math.sqrt(3) / 2, 0))  # a.b = 1/2
-        alpha, beta = sample_singlet_outcomes(X, b, rng, size=1_000_000)
+        alpha, beta = sample_correlated_outcomes(singlet_correlation(X, b), rng, size=1_000_000)
         corr = float(np.mean(alpha * beta))
         sigma = math.sqrt((1 - 0.25) / 1_000_000)
         assert abs(corr - (-0.5)) < 3 * sigma
@@ -267,7 +267,7 @@ class TestSampler:
 
     def test_scalar_mode(self):
         rng = np.random.default_rng(9)
-        a, b = sample_singlet_outcomes(X, X, rng)
+        a, b = sample_correlated_outcomes(singlet_correlation(X, X), rng)
         assert a in (1, -1) and b == -a
 
     def test_bad_rho_rejected(self):
