@@ -23,8 +23,8 @@ _EXPORTS = {
         "theorem3_bound", "theorem4_bound", "violation_feasible", "white_noise_quantum_value",
     ),
     "quantum": (
-        "ObAngles", "chsh_statistic", "delta_q", "delta_q_parametrized", "maximize_chsh",
-        "maximize_delta_q", "ob_statistic", "singlet_correlation",
+        "chsh_statistic", "delta_q", "maximize_chsh", "maximize_delta_q", "ob_statistic",
+        "singlet_correlation",
     ),
     "lhv": (
         "classical_ob_maximum", "detection_ob_maximum", "enumerate_strategies",

@@ -1,11 +1,12 @@
-"""Command-line surface: closed-form bounds, numerical maximizers, exhaustive
-LHV oracles, single simulations, and (gamma, eta) sweeps.
+"""Command-line surface: closed-form bounds, certified quantum optima,
+exhaustive LHV oracles, single simulations, and (gamma, eta) sweeps.
 
 Exit codes: 0 success / all checks pass, 1 assertion failure (a bound was
-exceeded or an optimizer fell short), 2 usage or configuration error.
+exceeded, or an optimum differs from its known value by more than
+--tolerance), 2 usage or configuration error.
 
-numpy loads only with ``quantum`` and ``experiment``, which are imported
-inside the subcommands that use them; ``bounds``, ``verify`` and a plain
+numpy loads only with ``experiment``, which is imported inside the
+subcommands that simulate; ``bounds``, ``optimize``, ``verify`` and a plain
 ``sweep`` start without it.
 """
 from __future__ import annotations
@@ -21,13 +22,13 @@ from pathlib import Path
 import click
 
 from . import bounds as bounds_mod
-from . import lhv
+from . import lhv, quantum
 from .core import (
+    LABELS,
     NoiseParameters,
     SettingTriple,
     make_setting,
     model_from_json_str,
-    setting_triple_from_json,
     validate_model,
 )
 
@@ -115,38 +116,44 @@ def cmd_bounds(gamma, eta, as_json):
 @main.command("optimize")
 @click.argument("target", type=click.Choice(["ob", "chsh"]))
 @click.option("--tolerance", type=float, default=1e-6, show_default=True)
-@click.option("--grid", type=int, default=None, help="Grid points per angle for the coarse search.")
+@click.option("--grid", type=int, default=None,
+              help="Accepted for compatibility; has no effect (the optima are in closed form).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_optimize(target, tolerance, grid, as_json):
-    """Numerically maximize the chosen statistic and check the known optimum."""
+    """Print the settings attaining the chosen statistic's quantum maximum,
+    the value there and its Cauchy-Schwarz certificate, and check the value
+    against the known maximum."""
     if tolerance <= 0:
         raise click.UsageError("tolerance must be positive")
     if not math.isfinite(tolerance):
         raise click.UsageError(f"--tolerance must be finite, got {tolerance}")
-    from . import quantum
-
-    kwargs = {} if grid is None else {"grid_points": grid}
-    try:
-        if target == "ob":
-            settings, value = quantum.maximize_delta_q(tolerance, **kwargs)
-            vectors = {lab: list(settings.get(lab).axis) for lab in ("a", "b", "c")}
-            analytic = quantum.QUANTUM_OB_MAX
-        else:
-            four, value = quantum.maximize_chsh(tolerance, **kwargs)
-            vectors = {
-                lab: list(s.axis) for lab, s in zip(("a", "a2", "b", "b2"), four)
-            }
-            analytic = quantum.QUANTUM_CHSH_MAX
-    except RuntimeError as exc:
-        click.echo(f"optimizer shortfall: {exc}", err=True)
-        sys.exit(1)
-    payload = {"target": target, "value": value, "analytic": analytic, "settings": vectors}
+    if target == "ob":
+        triple, value = quantum.maximize_delta_q()
+        settings = {lab: triple.get(lab) for lab in LABELS}
+        x = triple.b.dot(triple.c)
+        middle, analytic = quantum.ob_chain_bound(x), quantum.QUANTUM_OB_MAX
+        chain = "delta <= sqrt(2-2x) + x <= 3/2, x = <b|c>"
+    else:
+        four, value = quantum.maximize_chsh()
+        settings = dict(zip(("a", "a2", "b", "b2"), four))
+        x = settings["b"].dot(settings["b2"])
+        middle, analytic = quantum.chsh_chain_bound(x), quantum.QUANTUM_CHSH_MAX
+        chain = "S <= sqrt(2-2x) + sqrt(2+2x) <= 2*sqrt(2), x = <b|b2>"
+    vectors = {lab: list(s.axis) for lab, s in settings.items()}
+    payload = {
+        "target": target,
+        "value": value,
+        "analytic": analytic,
+        "settings": vectors,
+        "certificate": {"chain": chain, "x": x, "middle": middle},
+    }
     if as_json:
         _emit_json(payload)
     else:
         click.echo(f"{target} maximum: {_fmt(value)} (analytic {_fmt(analytic)})")
         for lab, vec in vectors.items():
-            click.echo(f"  {lab} = ({', '.join(_fmt(x) for x in vec)})")
+            click.echo(f"  {lab} = ({', '.join(_fmt(v) for v in vec)})")
+        click.echo(f"  certificate: {chain}; x = {_fmt(x)}, middle term {_fmt(middle)}")
     if abs(value - analytic) > tolerance:
         sys.exit(1)
 
@@ -219,7 +226,8 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
     witness = None
     if model_path:
         try:
-            model = model_from_json_str(Path(model_path).read_text())
+            text = Path(model_path).read_text()
+            model = model_from_json_str(text)
         except (ValueError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read model file: {exc}")
         violations = validate_model(model)
@@ -243,7 +251,7 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
                 )
             )
         if not all(c[3] for c in checks):
-            witness = json.loads(Path(model_path).read_text())
+            witness = json.loads(text)
 
     all_ok = all(ok for _, _, _, ok in checks)
     if as_json:
@@ -301,13 +309,6 @@ def _parse_config_text(text: str) -> dict:
     return cfg
 
 
-_DEFAULT_SETTINGS = {
-    "a": (1.0, 0.0, 0.0),
-    "b": (0.5, -math.sqrt(3) / 2, 0.0),
-    "c": (-0.5, -math.sqrt(3) / 2, 0.0),
-}
-
-
 #: The type of each scalar config field (int: a whole number), and its default.
 _CONFIG_FIELDS = {
     "source": (str, "quantum"),
@@ -340,6 +341,37 @@ def _config_field(cfg: dict, key: str):
     return value if kind in (str, bool) else kind(value)
 
 
+def _config_vector(value, field: str):
+    """A settings vector: a list of 3 JSON numbers (a bool is not a number),
+    normalized to unit length."""
+    numbers = isinstance(value, list) and len(value) == 3 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )
+    if not numbers:
+        raise ValueError(f"{field} must be a list of 3 numbers, got {value!r}")
+    try:
+        return make_setting(value)
+    except ValueError as exc:  # zero or non-finite
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _config_settings(raw, statistic: str):
+    """The config's ``settings``: 4 vectors (a, a', b, b') for chsh, else an
+    object with exactly the labels a, b, c; the optimal triple by default."""
+    if statistic == "chsh":
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise ValueError(f"settings: chsh needs a list of 4 vectors, got {raw!r}")
+        return tuple(_config_vector(v, f"settings[{i}]") for i, v in enumerate(raw))
+    if raw is None:
+        return quantum.OB_SETTINGS
+    if not isinstance(raw, dict):
+        raise ValueError(f"settings must be an object with keys a, b, c, got {raw!r}")
+    unknown = sorted(set(raw) - set(LABELS))
+    if unknown:
+        raise ValueError(f"unknown settings labels: {', '.join('settings.' + k for k in unknown)}")
+    return SettingTriple(**{lab: _config_vector(raw.get(lab), f"settings.{lab}") for lab in LABELS})
+
+
 def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
     """The ``ExperimentSpec`` a parsed config describes."""
     from . import experiment as exp_mod
@@ -349,19 +381,7 @@ def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     fields = {key: _config_field(cfg, key) for key in _CONFIG_FIELDS}
 
-    statistic = fields["statistic"]
-    raw_settings = cfg.get("settings")
-    try:
-        if statistic == "chsh":
-            if not isinstance(raw_settings, list) or len(raw_settings) != 4:
-                raise ValueError("settings: chsh needs a list of 4 vectors")
-            settings = tuple(make_setting(v) for v in raw_settings)
-        elif raw_settings is None:
-            settings = setting_triple_from_json(_DEFAULT_SETTINGS)
-        else:
-            settings = setting_triple_from_json(raw_settings)
-    except TypeError as exc:  # a value of the wrong JSON type
-        raise ValueError(f"settings: malformed ({exc})") from exc
+    settings = _config_settings(cfg.get("settings"), fields["statistic"])
 
     model, model_ref = None, fields.pop("model")
     if fields["source"] == "lhv":
@@ -465,7 +485,7 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
         else:
             template = exp_mod.ExperimentSpec(
                 source="quantum",
-                settings=setting_triple_from_json(_DEFAULT_SETTINGS),
+                settings=quantum.OB_SETTINGS,
                 trials_per_pair=100_000,
                 seed=seed if seed is not None else 0,
             )

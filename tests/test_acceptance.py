@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from obell.bounds import theorem2_bound, theorem3_bound, theorem4_bound
 from obell.cli import main as cli_main
-from obell.core import NoiseParameters, SettingTriple, make_setting
+from obell.core import NoiseParameters
 from obell.experiment import ExperimentSpec, run_experiment
 from obell.lhv import (
     classical_ob_maximum,
@@ -20,17 +20,10 @@ from obell.lhv import (
     model_ob_statistic,
     strategy_ob_statistic,
 )
-from obell.quantum import delta_q, singlet_correlations
+from obell.quantum import OB_SETTINGS, delta_q, singlet_correlations
 from obell.bounds import chsh_bounds, ob_bounds, violation_feasible
 
 from helpers import random_combined_model, random_detection_model, random_epsilon_model
-
-OPTIMAL_TRIPLE = SettingTriple(
-    a=make_setting((1, 0, 0)),
-    b=make_setting((0.5, -math.sqrt(3) / 2, 0)),
-    c=make_setting((-0.5, -math.sqrt(3) / 2, 0)),
-)
-
 
 def report(criterion: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}")
@@ -47,8 +40,8 @@ def test_criterion_1_quantum_ob_maximum_via_cli():
 
 
 def test_criterion_2_worked_example():
-    corr = singlet_correlations(OPTIMAL_TRIPLE)
-    delta = delta_q(OPTIMAL_TRIPLE)
+    corr = singlet_correlations(OB_SETTINGS)
+    delta = delta_q(OB_SETTINGS)
     # p_bc carries one ulp of noise from sqrt(3)/2; the statistic itself
     # rounds back to exactly 3/2 in double precision
     ok = (
@@ -149,7 +142,7 @@ def test_criterion_7_monte_carlo_calibration(tmp_path):
     for rep in range(100):
         spec = ExperimentSpec(
             source="quantum",
-            settings=OPTIMAL_TRIPLE,
+            settings=OB_SETTINGS,
             trials_per_pair=1_000_000,
             seed=1_000 + rep,
         )

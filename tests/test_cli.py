@@ -65,6 +65,25 @@ class TestOptimizeCommand:
         assert result.exit_code == 2
         assert "tolerance must be positive" in result.output
 
+    @pytest.mark.parametrize("grid", ["0", "-3", "5"])
+    def test_grid_has_no_effect(self, runner, grid):
+        # a non-positive grid used to crash the angle search with a traceback
+        assert invoke(runner, "optimize", "ob", "--grid", grid).output == invoke(
+            runner, "optimize", "ob"
+        ).output
+
+    def test_certificate(self, runner):
+        ob = json.loads(invoke(runner, "optimize", "ob", "--json").output)["certificate"]
+        assert ob["x"] == pytest.approx(0.5, abs=1e-15) and ob["middle"] == 1.5
+        chsh = json.loads(invoke(runner, "optimize", "chsh", "--json").output)["certificate"]
+        assert chsh["x"] == 0 and chsh["middle"] == 2 * math.sqrt(2)
+
+    def test_value_outside_tolerance_prints_then_fails(self, runner):
+        # 2.82842712474619 is one ulp below the float nearest 2*sqrt(2)
+        result = invoke(runner, "optimize", "chsh", "--tolerance", "1e-17", "--json")
+        assert result.exit_code == 1
+        assert json.loads(result.output)["value"] == 2.82842712474619
+
     @pytest.mark.parametrize("target", ["ob", "chsh"])
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, runner, target, tolerance):
@@ -234,16 +253,23 @@ class TestSimulateCommand:
         assert "atom 0: non-finite weight" in result.output
 
     @pytest.mark.parametrize(
-        "config",
-        [{"settings": 5}, {"statistic": "chsh", "settings": [1, 2, 3, 4]}],
-        ids=["ob-number", "chsh-numbers"],
+        "config, field",
+        [
+            ({"settings": 5}, "settings must be"),
+            ({"statistic": "chsh", "settings": [1, 2, 3, 4]}, "settings[0] must be"),
+            ({"settings": {"a": [True, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a must be"),
+            ({"settings": {"a": "100", "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a must be"),
+            ({"settings": {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1], "d": [1, 0, 0]}}, "settings.d"),
+        ],
+        ids=["ob-number", "chsh-numbers", "bool-component", "string-vector", "extra-label"],
     )
-    def test_malformed_settings_is_usage_error(self, runner, tmp_path, config):
+    def test_malformed_settings_is_usage_error(self, runner, tmp_path, config, field):
+        # each used to be coerced or ignored, and ran as (1, 0, 0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         result = invoke(runner, "simulate", str(path), "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
-        assert "settings: malformed" in result.output
+        assert field in result.output
 
     def test_key_value_config_value_then_table_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "config.cfg"
@@ -386,10 +412,12 @@ def _sha256(data) -> str:
 class TestGoldenBytes:
     """The exact bytes of each subcommand's output, pinned by sha256.
 
-    The hashes were taken from the toolkit when it still optimized with
-    ``scipy.optimize.minimize`` and imported every module eagerly; start-up
-    changes must not move a single byte. Numbers come from numpy and libm on
-    x86-64 Linux, so another platform may legitimately differ.
+    The hashes were taken from the toolkit when it still imported every
+    module eagerly; start-up changes must not move a single byte. The
+    ``optimize`` hashes date from when it printed closed-form settings and
+    their certificates in place of a numerical search's point. Numbers come
+    from numpy and libm on x86-64 Linux, so another platform may legitimately
+    differ.
     """
 
     def _output(self, runner, *args):
@@ -408,9 +436,10 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "target, digest",
         [
-            ("ob", "d0e50ea73b5290ba6e4a5496d0764699f00bd9afc64ff4e99ebad47e671970b0"),
-            ("chsh", "9bf795b2c62536b41c0299c63e551d41c7089748416490d421433a8f07186dcb"),
+            ("ob", "f27275f7fe1a1a769a9490a72d94fbf7cd0e1af2f9b87ecedadd453ea3d337c5"),
+            ("chsh", "7ead1f4a7360b95dbdf9220d93d92c7359e3c7ce645c7cf2afa6871ed460424e"),
         ],
+        ids=["ob", "chsh"],
     )
     def test_optimize(self, runner, target, digest):
         assert _sha256(self._output(runner, "optimize", target, "--json")) == digest

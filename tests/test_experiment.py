@@ -18,20 +18,13 @@ from obell.experiment import (
     summary_csv_row,
     sweep,
 )
-from obell.quantum import QUANTUM_CHSH_MAX, sample_correlated_outcomes
+from obell.quantum import OB_SETTINGS, QUANTUM_CHSH_MAX, sample_correlated_outcomes
 
 from helpers import random_detection_model, random_perfect_model
 
-OPTIMAL_TRIPLE = SettingTriple(
-    a=make_setting((1, 0, 0)),
-    b=make_setting((0.5, -math.sqrt(3) / 2, 0)),
-    c=make_setting((-0.5, -math.sqrt(3) / 2, 0)),
-)
-
-
 def quantum_spec(**kwargs):
     defaults = dict(
-        source="quantum", settings=OPTIMAL_TRIPLE, trials_per_pair=100_000, seed=123
+        source="quantum", settings=OB_SETTINGS, trials_per_pair=100_000, seed=123
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)

@@ -6,18 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from obell.core import CorrelationTriple, SettingTriple, make_setting
 from obell.quantum import (
+    OB_SETTINGS,
     QUANTUM_CHSH_MAX,
     QUANTUM_OB_MAX,
-    ObAngles,
-    _delta_param_array,
-    _nelder_mead,
-    angles_to_settings,
-    chsh_from_planar_angles,
+    chsh_chain_bound,
     chsh_statistic,
     delta_q,
-    delta_q_parametrized,
     maximize_chsh,
     maximize_delta_q,
+    ob_chain_bound,
     ob_statistic,
     sample_correlated_outcomes,
     singlet_correlation,
@@ -28,16 +25,12 @@ X = make_setting((1, 0, 0))
 Y = make_setting((0, 1, 0))
 Z = make_setting((0, 0, 1))
 
-#: Planar triple attaining the quantum maximum 3/2.
-WORKED_TRIPLE = SettingTriple(
-    a=make_setting((1, 0, 0)),
-    b=make_setting((0.5, -math.sqrt(3) / 2, 0)),
-    c=make_setting((-0.5, -math.sqrt(3) / 2, 0)),
-)
-
 unit_vectors = st.tuples(*[st.floats(-1, 1) for _ in range(3)]).filter(
     lambda v: sum(x * x for x in v) > 1e-6
 ).map(make_setting)
+#: Unit vectors normalized in float: norms are 1 to a few ulps, where
+#: ``unit_vectors`` passes norms up to 1e-12 off through unchanged.
+exact_unit_vectors = unit_vectors.map(lambda s: make_setting([v / math.hypot(*s.axis) for v in s.axis]))
 
 
 class TestSingletCorrelation:
@@ -45,7 +38,7 @@ class TestSingletCorrelation:
         assert singlet_correlation(X, X) == -1.0
 
     def test_worked_example_half(self):
-        assert singlet_correlation(WORKED_TRIPLE.a, WORKED_TRIPLE.b) == -0.5
+        assert singlet_correlation(OB_SETTINGS.a, OB_SETTINGS.b) == -0.5
 
     def test_orthogonal_uncorrelated(self):
         assert singlet_correlation(X, Y) == 0.0
@@ -72,7 +65,7 @@ class TestObStatistic:
 
 class TestDeltaQ:
     def test_worked_example_exact(self):
-        assert delta_q(WORKED_TRIPLE) == 1.5
+        assert delta_q(OB_SETTINGS) == 1.5
 
     def test_coincident_settings(self):
         assert delta_q(SettingTriple(a=X, b=X, c=X)) == 1.0
@@ -95,105 +88,23 @@ class TestDeltaQ:
         ac = np.einsum("ij,ij->i", v[:, 0], v[:, 2])
         bc = np.einsum("ij,ij->i", v[:, 1], v[:, 2])
         values = np.abs(ab - ac) + bc
-        assert float(values.max()) <= QUANTUM_OB_MAX + 1e-12
-
-
-class TestParametrized:
-    def test_maximum_substitution(self):
-        assert delta_q_parametrized(ObAngles(math.pi / 6, math.pi / 2, math.pi / 2)) == pytest.approx(
-            1.5, abs=1e-15
-        )
-
-    def test_phi1_zero_gives_one(self):
-        for phi2, theta in [(0.3, 1.1), (2.0, -0.4)]:
-            assert delta_q_parametrized(ObAngles(0.0, phi2, theta)) == 1.0
-
-    def test_right_angles_give_one(self):
-        assert delta_q_parametrized(ObAngles(math.pi / 2, math.pi / 2, math.pi / 2)) == pytest.approx(
-            1.0, abs=1e-15
-        )
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            ObAngles(math.nan, 0.0, 0.0)
-
-    @given(
-        st.floats(-math.pi, math.pi),
-        st.floats(-math.pi, math.pi),
-        st.floats(-math.pi, math.pi),
-    )
-    def test_agrees_with_vector_route(self, p1, p2, th):
-        angles = ObAngles(p1, p2, th)
-        assert delta_q(angles_to_settings(angles)) == pytest.approx(
-            delta_q_parametrized(angles), abs=1e-12
-        )
-
-    @given(
-        st.floats(-10, 10, allow_nan=False),
-        st.floats(-10, 10, allow_nan=False),
-        st.floats(-10, 10, allow_nan=False),
-    )
-    def test_range(self, p1, p2, th):
-        v = delta_q_parametrized(ObAngles(p1, p2, th))
-        assert -1 - 1e-12 <= v <= QUANTUM_OB_MAX + 1e-12
+        # both steps of the certificate chain, with x = <b|c>
+        middle = np.sqrt(np.maximum(2 - 2 * bc, 0)) + bc
+        assert np.all(values <= middle + 1e-12)
+        assert float(middle.max()) <= QUANTUM_OB_MAX + 1e-12
 
 
 class TestMaximizeDeltaQ:
     def test_reaches_analytic_maximum(self):
-        _, value = maximize_delta_q(1e-6)
-        assert 1.5 - 1e-6 <= value <= 1.5 + 1e-9
-
-    def test_restricted_grid_still_close(self):
-        _, value = maximize_delta_q(1e-3, grid_points=10)
-        assert value >= 1.49
+        settings, value = maximize_delta_q()
+        assert settings == OB_SETTINGS
+        assert value == QUANTUM_OB_MAX
+        # both steps of the chain are equalities
+        assert ob_chain_bound(settings.b.dot(settings.c)) == QUANTUM_OB_MAX
 
     def test_returned_settings_consistent(self):
-        settings, value = maximize_delta_q(1e-6)
+        settings, value = maximize_delta_q()
         assert delta_q(settings) == pytest.approx(value, abs=1e-12)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            maximize_delta_q(0.0)
-
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
-    def test_non_finite_tolerance(self, tolerance):
-        for maximize in (maximize_delta_q, maximize_chsh):
-            with pytest.raises(ValueError, match="tolerance must be finite"):
-                maximize(tolerance)
-
-
-class TestNelderMead:
-    """The built-in simplex search returns scipy's Nelder-Mead point bit for
-    bit, so the maximizers print what they printed when they called scipy."""
-
-    #: (maxiter, maxfev): the maximizers' own limits, then limits that stop
-    #: after 3 iterations, inside the initial simplex, and mid-search.
-    LIMITS = [(4000, 8000), (3, 8000), (4000, 5), (25, 40)]
-
-    @pytest.mark.parametrize(
-        "objective, dim, span",
-        [
-            (lambda x: -_delta_param_array(*x), 3, math.pi),
-            (lambda x: -chsh_from_planar_angles(*x), 4, 2 * math.pi),
-        ],
-        ids=["ob", "chsh"],
-    )
-    def test_matches_scipy(self, objective, dim, span):
-        from scipy.optimize import minimize
-
-        rng = np.random.default_rng(2018)
-        for start in range(60):
-            x0 = rng.uniform(0, span, dim)
-            if start % 3 == 0:  # zero coordinates take the other initial step
-                x0[rng.integers(dim)] = 0.0
-            if start == 0:
-                x0[:] = 0.0
-            for maxiter, maxfev in self.LIMITS:
-                options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": maxiter, "maxfev": maxfev}
-                expected = minimize(objective, x0, method="Nelder-Mead", options=options).x
-                assert np.array_equal(_nelder_mead(objective, x0, **options), expected), (
-                    start, maxiter, maxfev,
-                )
 
 
 class TestChsh:
@@ -208,15 +119,22 @@ class TestChsh:
         assert chsh_statistic(0, 0, 0, 0) == 0
 
     def test_standard_angles_exact(self):
-        angles = [math.radians(d) for d in (0, 90, 135, 45)]
+        a, a2, b, b2 = (
+            make_setting((math.cos(math.radians(d)), math.sin(math.radians(d)), 0))
+            for d in (0, 90, 135, 45)
+        )
+        e = singlet_correlation
         # one ulp of trig noise at 135 degrees
-        assert chsh_from_planar_angles(*angles) == pytest.approx(2 * math.sqrt(2), abs=1e-15)
+        assert chsh_statistic(e(a, b), e(a, b2), e(a2, b), e(a2, b2)) == pytest.approx(
+            2 * math.sqrt(2), abs=1e-15
+        )
 
     def test_maximize_reaches_tsirelson(self):
-        settings, value = maximize_chsh(1e-6)
-        assert abs(value - QUANTUM_CHSH_MAX) <= 1e-6
-        assert value >= 2  # exceeds the classical bound
+        settings, value = maximize_chsh()
+        assert abs(value - QUANTUM_CHSH_MAX) <= 1e-15
         assert len(settings) == 4
+        b, b2 = settings[2], settings[3]
+        assert chsh_chain_bound(b.dot(b2)) == QUANTUM_CHSH_MAX
 
     def test_singlet_chsh_never_exceeds_tsirelson(self):
         rng = np.random.default_rng(99)
@@ -224,7 +142,24 @@ class TestChsh:
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         e = lambda i, j: -np.einsum("ij,ij->i", v[:, i], v[:, j])
         s = np.abs(e(0, 2) - e(0, 3)) + np.abs(e(1, 2) + e(1, 3))
-        assert float(s.max()) <= QUANTUM_CHSH_MAX + 1e-9
+        # both steps of the certificate chain, with x = <b|b'>
+        x = -e(2, 3)
+        middle = np.sqrt(np.maximum(2 - 2 * x, 0)) + np.sqrt(np.maximum(2 + 2 * x, 0))
+        assert np.all(s <= middle + 1e-12)
+        assert float(middle.max()) <= QUANTUM_CHSH_MAX + 1e-12
+
+
+class TestCertificates:
+    @given(exact_unit_vectors, exact_unit_vectors, exact_unit_vectors, exact_unit_vectors)
+    def test_chains_hold(self, a, a2, b, c):
+        # Step one compares squares, (<a|b> - <a|c>)^2 <= 2 - 2x: sqrt(2 - 2x)
+        # cancels catastrophically where b and c nearly coincide (x -> 1).
+        x = b.dot(c)
+        assert (a.dot(b) - a.dot(c)) ** 2 <= 2 - 2 * x + 1e-12
+        assert ob_chain_bound(x) <= QUANTUM_OB_MAX + 1e-12
+        # CHSH with b' = c adds |<a2|b> + <a2|b'>| <= sqrt(2 + 2x)
+        assert (a2.dot(b) + a2.dot(c)) ** 2 <= 2 + 2 * x + 1e-12
+        assert chsh_chain_bound(x) <= QUANTUM_CHSH_MAX + 1e-12
 
 
 class TestSampler:
