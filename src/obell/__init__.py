@@ -1,7 +1,7 @@
 """Original Bell inequality toolkit.
 
 Quantum and classical bounds for the three-correlation Bell statistic and
-CHSH, exhaustive local-hidden-variable oracles, noisy-model bound
+CHSH, certified local-hidden-variable oracles, noisy-model bound
 calculators, and a seeded Monte Carlo Bell-test simulator.
 
 The public names below are loaded on first use (PEP 562), so ``import

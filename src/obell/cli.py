@@ -1,5 +1,5 @@
 """Command-line surface: closed-form bounds, certified quantum optima,
-exhaustive LHV oracles, single simulations, and (gamma, eta) sweeps.
+certified LHV oracles, single simulations, and (gamma, eta) sweeps.
 
 Exit codes: 0 success / all checks pass, 1 assertion failure (a bound was
 exceeded, or an optimum differs from its known value by more than
@@ -26,9 +26,9 @@ from . import lhv, quantum
 from .core import (
     LABELS,
     NoiseParameters,
-    SettingTriple,
-    make_setting,
     model_from_json_str,
+    setting_from_json,
+    setting_triple_from_json,
     validate_model,
 )
 
@@ -38,8 +38,13 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _echo(text: str = "", nl: bool = True, err: bool = False) -> None:
+    # click.echo's default stream is cached per sys.stdout and keeps it alive
+    click.echo(text, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 def _emit_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    _echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -94,16 +99,16 @@ def cmd_bounds(gamma, eta, as_json):
     if as_json:
         _emit_json(payload)
         return
-    click.echo("inequality  classical  quantum       fraction")
-    click.echo(f"ob          {_fmt(ob.classical_bound):<10} {_fmt(ob.quantum_bound):<13} {_fmt(ob.fraction)}")
-    click.echo(
+    _echo("inequality  classical  quantum       fraction")
+    _echo(f"ob          {_fmt(ob.classical_bound):<10} {_fmt(ob.quantum_bound):<13} {_fmt(ob.fraction)}")
+    _echo(
         f"chsh        {_fmt(chsh.classical_bound):<10} {_fmt(chsh.quantum_bound):<13} {_fmt(chsh.fraction)}"
     )
-    click.echo("violation thresholds: gamma > 0.75 (eta=1), eta > 8/9 = 0.8888888889 (gamma=1)")
-    click.echo("feasibility region: 4*gamma + 9*eta > 12")
+    _echo("violation thresholds: gamma > 0.75 (eta=1), eta > 8/9 = 0.8888888889 (gamma=1)")
+    _echo("feasibility region: 4*gamma + 9*eta > 12")
     if "point" in payload:
         p = payload["point"]
-        click.echo(
+        _echo(
             f"gamma={_fmt(p['gamma'])} eta={_fmt(p['eta'])}: "
             f"bound={_fmt(p['bound'])} feasible={'true' if p['feasible'] else 'false'}"
         )
@@ -150,10 +155,10 @@ def cmd_optimize(target, tolerance, grid, as_json):
     if as_json:
         _emit_json(payload)
     else:
-        click.echo(f"{target} maximum: {_fmt(value)} (analytic {_fmt(analytic)})")
+        _echo(f"{target} maximum: {_fmt(value)} (analytic {_fmt(analytic)})")
         for lab, vec in vectors.items():
-            click.echo(f"  {lab} = ({', '.join(_fmt(v) for v in vec)})")
-        click.echo(f"  certificate: {chain}; x = {_fmt(x)}, middle term {_fmt(middle)}")
+            _echo(f"  {lab} = ({', '.join(_fmt(v) for v in vec)})")
+        _echo(f"  certificate: {chain}; x = {_fmt(x)}, middle term {_fmt(middle)}")
     if abs(value - analytic) > tolerance:
         sys.exit(1)
 
@@ -163,9 +168,10 @@ def cmd_optimize(target, tolerance, grid, as_json):
 
 
 def _snap(value: float, atoms: int, option: str) -> Fraction:
+    """``value`` rounded, exactly, to the nearest multiple of 1/atoms."""
     if not math.isfinite(value):
         raise click.UsageError(f"--{option} must be finite, got {value}")
-    return Fraction(round(value * atoms), atoms)
+    return Fraction(round(Fraction(value) * atoms), atoms)
 
 
 @main.command("verify")
@@ -173,18 +179,20 @@ def _snap(value: float, atoms: int, option: str) -> Fraction:
 @click.option("--unconstrained", is_flag=True, help="Enumerate all 64 strategies (control arm).")
 @click.option("--epsilon", "epsilons", type=float, multiple=True, help="Anti-correlation defects to probe.")
 @click.option("--eta", "etas", type=float, multiple=True, help="Detection efficiencies to probe.")
-@click.option("--atoms", type=int, default=9, show_default=True)
+@click.option("--atoms", type=int, default=9, show_default=True,
+              help="Snap each probe to the nearest multiple of 1/atoms.")
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_json):
-    """Run the exhaustive LHV oracles and assert every classical bound.
+    """Run the LHV oracles and assert every classical bound.
 
-    Probe values of epsilon/eta are snapped to the nearest multiple of
-    1/atoms (the oracle grids are exact rationals). With no selection flags,
+    Each epsilon/eta probe is snapped to the nearest multiple of 1/atoms, an
+    exact rational; the oracle there is exact over all models (a dual
+    certificate plus a witness model attaining it). With no selection flags,
     a default battery runs everything.
     """
-    if atoms < 1 or atoms > 12:
-        raise click.UsageError("atoms must lie in 1..12")
+    if atoms < 1:
+        raise click.UsageError(f"--atoms must be at least 1, got {atoms}")
     run_all = not (perfect or unconstrained or epsilons or etas or model_path)
     if run_all:
         perfect = unconstrained = True
@@ -202,26 +210,19 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
         maximum = lhv.classical_ob_maximum(False)
         # control arm: no bound asserted, recorded for reference
         checks.append(("unconstrained enumeration (64 strategies)", str(maximum), "3 (control)", True))
-    for eps in epsilons:
-        snapped = _snap(eps, atoms, "epsilon")
-        if not 0 <= snapped <= 1:
-            raise click.UsageError(f"epsilon {eps} outside [0, 1]")
-        achieved = lhv.epsilon_ob_maximum(snapped, atoms)
-        bound = 1 + 2 * snapped
-        checks.append(
-            (f"epsilon oracle eps={snapped} atoms={atoms}", str(achieved), str(bound), achieved <= bound)
-        )
-    for eta in etas:
-        snapped = _snap(eta, atoms, "eta")
-        if not 0 < snapped <= 1:
-            raise click.UsageError(f"eta {eta} outside (0, 1]")
-        if atoms > 10:
-            raise click.UsageError("detection oracle supports atoms <= 10")
-        achieved = lhv.detection_ob_maximum(snapped, atoms)
-        bound = Fraction(4 - 3 * snapped, snapped)
-        checks.append(
-            (f"detection oracle eta={snapped} atoms={atoms}", str(achieved), str(bound), achieved <= bound)
-        )
+    oracles = {  # option: (check name, domain, oracle, closed-form bound)
+        "epsilon": ("epsilon oracle eps", "[0, 1]", lhv.epsilon_ob_maximum, bounds_mod.theorem2_bound),
+        "eta": ("detection oracle eta", "(0, 1]", lhv.detection_ob_maximum, bounds_mod.theorem3_bound),
+    }
+    for option, value in [("epsilon", v) for v in epsilons] + [("eta", v) for v in etas]:
+        name, domain, oracle, bound_at = oracles[option]
+        snapped = _snap(value, atoms, option)
+        try:
+            bound = bound_at(snapped)
+        except ValueError:  # outside the bound's domain
+            raise click.UsageError(f"{option} {value} outside {domain}")
+        achieved = oracle(snapped)
+        checks.append((f"{name}={snapped} atoms={atoms}", str(achieved), str(bound), achieved <= bound))
 
     witness = None
     if model_path:
@@ -267,10 +268,10 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
     else:
         for name, achieved, bound, ok in checks:
             status = "pass" if ok else "FAIL"
-            click.echo(f"[{status}] {name}: achieved {achieved}, bound {bound}")
+            _echo(f"[{status}] {name}: achieved {achieved}, bound {bound}")
         if witness is not None:
-            click.echo("witnessing model:")
-            click.echo(json.dumps(witness, indent=2, sort_keys=True))
+            _echo("witnessing model:")
+            _echo(json.dumps(witness, indent=2, sort_keys=True))
     if not all_ok:
         sys.exit(1)
 
@@ -341,35 +342,14 @@ def _config_field(cfg: dict, key: str):
     return value if kind in (str, bool) else kind(value)
 
 
-def _config_vector(value, field: str):
-    """A settings vector: a list of 3 JSON numbers (a bool is not a number),
-    normalized to unit length."""
-    numbers = isinstance(value, list) and len(value) == 3 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    )
-    if not numbers:
-        raise ValueError(f"{field} must be a list of 3 numbers, got {value!r}")
-    try:
-        return make_setting(value)
-    except ValueError as exc:  # zero or non-finite
-        raise ValueError(f"{field}: {exc}") from exc
-
-
 def _config_settings(raw, statistic: str):
     """The config's ``settings``: 4 vectors (a, a', b, b') for chsh, else an
     object with exactly the labels a, b, c; the optimal triple by default."""
     if statistic == "chsh":
         if not isinstance(raw, list) or len(raw) != 4:
             raise ValueError(f"settings: chsh needs a list of 4 vectors, got {raw!r}")
-        return tuple(_config_vector(v, f"settings[{i}]") for i, v in enumerate(raw))
-    if raw is None:
-        return quantum.OB_SETTINGS
-    if not isinstance(raw, dict):
-        raise ValueError(f"settings must be an object with keys a, b, c, got {raw!r}")
-    unknown = sorted(set(raw) - set(LABELS))
-    if unknown:
-        raise ValueError(f"unknown settings labels: {', '.join('settings.' + k for k in unknown)}")
-    return SettingTriple(**{lab: _config_vector(raw.get(lab), f"settings.{lab}") for lab in LABELS})
+        return tuple(setting_from_json(v, f"settings[{i}]") for i, v in enumerate(raw))
+    return quantum.OB_SETTINGS if raw is None else setting_triple_from_json(raw)
 
 
 def _spec_from_config(cfg: dict, base_dir: Path, seed_override=None):
@@ -417,7 +397,7 @@ def cmd_simulate(config, out_dir, seed, as_json):
     try:
         result = exp_mod.run_experiment(spec)
     except RuntimeError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
+        _echo(f"simulation failed: {exc}", err=True)
         sys.exit(1)
 
     out = Path(out_dir)
@@ -434,7 +414,7 @@ def cmd_simulate(config, out_dir, seed, as_json):
     if as_json:
         _emit_json(payload)
     else:
-        click.echo(
+        _echo(
             f"statistic={_fmt(result.statistic)} se={_fmt(result.statistic_se)} "
             f"bound={_fmt(result.bound_used)} violation_sigma={_fmt(result.violation_sigma)}"
         )
@@ -522,7 +502,7 @@ def cmd_sweep(config, gamma_range, eta_range, step, do_simulate, seed, threads, 
     if as_json:
         _emit_json({"rows": rows})
     else:
-        click.echo(csv_text, nl=False)
+        _echo(csv_text, nl=False)
 
 
 if __name__ == "__main__":

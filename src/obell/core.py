@@ -268,15 +268,29 @@ def _number_from_json(x) -> Number:
     return float(x)
 
 
-def setting_triple_to_json(t: SettingTriple) -> dict:
-    return {label: list(t.get(label).axis) for label in LABELS}
+def setting_from_json(value, field: str) -> MeasurementSetting:
+    """A settings vector: a list of 3 JSON numbers (a bool is not a number),
+    normalized to unit length. Errors name ``field``."""
+    numbers = isinstance(value, list) and len(value) == 3 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )
+    if not numbers:
+        raise ValueError(f"{field} must be a list of 3 numbers, got {value!r}")
+    try:
+        return make_setting(value)
+    except ValueError as exc:  # zero or non-finite
+        raise ValueError(f"{field}: {exc}") from exc
 
 
-def setting_triple_from_json(obj: Mapping) -> SettingTriple:
-    missing = [label for label in LABELS if label not in obj]
-    if missing:
-        raise ValueError(f"setting triple is missing labels {missing}")
-    return SettingTriple(**{label: make_setting(obj[label]) for label in LABELS})
+def setting_triple_from_json(obj) -> SettingTriple:
+    """The ``settings`` object: exactly the labels a, b, c, each a vector
+    read by :func:`setting_from_json`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"settings must be an object with keys a, b, c, got {obj!r}")
+    unknown = sorted(set(obj) - set(LABELS))
+    if unknown:
+        raise ValueError(f"unknown settings labels: {', '.join('settings.' + k for k in unknown)}")
+    return SettingTriple(**{lab: setting_from_json(obj.get(lab), f"settings.{lab}") for lab in LABELS})
 
 
 def model_to_json(m: HiddenVariableModel) -> dict:

@@ -1,13 +1,17 @@
 """Local hidden-variable machinery: exact model correlations, exhaustive
-deterministic-strategy enumeration (the brute-force oracle behind every
-classical bound), and constructors for imperfect-anti-correlation and
-detection-censored models.
+deterministic-strategy enumeration, constructors for imperfect-anti-correlation
+and detection-censored models, and the certified oracles behind the noisy
+classical bounds.
 
-Enumeration results use exact rational arithmetic so bound checks at the
-boundary (e.g. a maximum of exactly 1) never suffer float noise.
+Each noisy oracle pairs one dual vector, checked against every row of the
+bound's linear program in integer arithmetic, with an explicit witness model
+that attains the bound; so its maximum is exact over all models, at any
+rational point. Everything here uses exact rational arithmetic, so bound
+checks at the boundary (e.g. a maximum of exactly 1) never suffer float noise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -196,118 +200,93 @@ def make_detection_model(
     )
 
 
-def _check_grid_fraction(value: Number, atoms: int, name: str) -> int:
-    count = round(value * atoms)
-    if abs(count - value * atoms) > 1e-9:
-        raise ValueError(f"{name}={float(value)!r} must be a multiple of 1/{atoms}")
-    return count
+# ---------------------------------------------------------------------------
+# Certified oracles for the noisy bounds
 
 
-def epsilon_ob_maximum(epsilon: Number, atoms: int) -> Fraction:
-    """Exact maximum of the statistic over all imperfect-anti-correlation
-    models on a uniform grid of ``atoms`` atoms with flip mass <= epsilon
-    per setting.
+@functools.cache
+def _dual_violations(pattern: str) -> tuple:
+    """The rows of the noisy-bound LP for ``pattern`` that the dual vector
+    y = (4; -1, -1, -1; 0, 2, 0) violates. y weights the normalization row
+    by 4, the detection rows of the statistic's three pairs (mass eta) by -1
+    and the flip rows (mass with B_s = A_s at most epsilon_s) by 0, 2, 0. A
+    row is a strategy, its detection pattern (m1, m2, m3) and a sign branch
+    of |.|; y satisfies it when
 
-    Atoms carry equal weight and enter the objective additively, so only the
-    number of atoms per (flip-at-b, flip-at-c) class matters, and within a
-    class every atom takes the per-class optimal sign assignment. Maximizing
-    over class counts is therefore exhaustive over all strategy assignments
-    and flip placements. The a-flip set never enters: the statistic involves
-    only B_b and B_c.
+        branch*(m1*p1 - m2*p2) - m3*p3 <= 4 - (m1 + m2 + m3) + 2*[B_b = A_b].
+
+    No violation proves eta*Delta <= 4 + 2*epsilon_b - 3*eta for every model
+    by weak duality: Theorem 4, hence Theorems 2 (eta = 1) and 3 (epsilon = 0).
     """
-    if not 1 <= atoms <= 12:
-        raise ValueError("atoms must lie in 1..12")
+    pairs = STATISTIC_PATTERNS[pattern]
+    rows = []
+    for strat in enumerate_strategies(False):
+        p1, p2, p3 = (strat.product(s, t) for s, t in pairs)
+        flip_b = strat.b_out["b"] == strat.a_out["b"]
+        for m1, m2, m3 in itertools.product((0, 1), repeat=3):
+            for branch in (1, -1):
+                if branch * (m1 * p1 - m2 * p2) - m3 * p3 > 4 - (m1 + m2 + m3) + 2 * flip_b:
+                    rows.append((strat, (m1, m2, m3), branch))
+    return tuple(rows)
+
+
+def _certified(value: Fraction, pattern: str, epsilon: Fraction, eta: Fraction) -> Fraction:
+    """``value``, once the dual certificate for ``pattern`` holds and ``value``
+    attains the certified bound min((4 + 2*epsilon - 3*eta)/eta, 3)."""
+    bound = min((4 + 2 * epsilon - 3 * eta) / eta, Fraction(3))
+    if _dual_violations(pattern) or value != bound:
+        raise RuntimeError(f"epsilon={epsilon}, eta={eta}: witness {value} misses bound {bound}")
+    return value
+
+
+def _perfect(b: int, c: int) -> DeterministicStrategy:
+    a_out = {"a": 1, "b": b, "c": c}
+    return DeterministicStrategy(a_out=a_out, b_out={s: -v for s, v in a_out.items()})
+
+
+def _epsilon_witness(epsilon: Fraction) -> HiddenVariableModel:
+    """Two atoms with A = (1, 1, 1), weighted epsilon and 1 - epsilon, the
+    first with the anti-correlation at b broken: their statistics are 3 and 1."""
+    up = _perfect(1, 1)
+    return make_epsilon_model([(epsilon, up), (1 - epsilon, up)], {"b": {0}}, epsilon)
+
+
+def _detection_witness(eta: Fraction) -> HiddenVariableModel:
+    """Five perfectly anti-correlated atoms whose ab, bc and ac detection sets
+    each hold mass eta (the other six pairs reuse the ab set); their
+    conditional statistic is min((4 - 3*eta)/eta, 3)."""
+    third = min(1 - eta, eta / 2)
+    atoms = (  # (A_b, A_c) with A_a = 1, weight, detected for (ab, bc, ac)
+        ((-1, 1), max(3 * eta - 2, 0), (1, 1, 1)),
+        ((-1, -1), third, (1, 1, 0)),
+        ((-1, 1), third, (1, 0, 1)),
+        ((1, 1), third, (0, 1, 1)),
+        ((1, 1), max(1 - 3 * eta / 2, 0), (0, 0, 0)),
+    )
+    base = HiddenVariableModel.build([w for _, w, _ in atoms], [_perfect(*bc) for bc, _, _ in atoms])
+    sets = {key: {i for i, (_, _, d) in enumerate(atoms) if d[j]} for j, key in enumerate(("ab", "bc", "ac"))}
+    return make_detection_model(base, {key: sets.get(key, sets["ab"]) for key in PAIR_KEYS})
+
+
+def epsilon_ob_maximum(epsilon: Number) -> Fraction:
+    """Exact maximum of the statistic (pattern "e7") over all models whose
+    anti-correlation defect at every setting is at most ``epsilon``:
+    1 + 2*epsilon (Theorem 2), certified by ``_dual_violations`` and attained
+    by ``_epsilon_witness``, at any rational point."""
+    epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    cap = _check_grid_fraction(epsilon, atoms, "epsilon")
-
-    best: Fraction | None = None
-    for branch in (1, -1):
-        # Per-atom optimum for each flip class; sb/sc is the sign of B_b/B_c
-        # relative to -A_b/-A_c, x = A_a A_b, y = A_a A_c.
-        value = {}
-        for fb, fc in itertools.product((0, 1), repeat=2):
-            sb = 1 if fb else -1
-            sc = 1 if fc else -1
-            value[(fb, fc)] = max(
-                branch * (sb * x - sc * y) - sc * x * y
-                for x in (1, -1)
-                for y in (1, -1)
-            )
-        for n_bc in range(cap + 1):
-            for n_b in range(cap - n_bc + 1):
-                for n_c in range(cap - n_bc + 1):
-                    n_plain = atoms - n_bc - n_b - n_c
-                    if n_plain < 0:
-                        continue
-                    total = (
-                        n_plain * value[(0, 0)]
-                        + n_b * value[(1, 0)]
-                        + n_c * value[(0, 1)]
-                        + n_bc * value[(1, 1)]
-                    )
-                    candidate = Fraction(total, atoms)
-                    if best is None or candidate > best:
-                        best = candidate
-    assert best is not None
-    return best
+    return _certified(model_ob_statistic(_epsilon_witness(epsilon)), "e7", epsilon, 1)
 
 
-def detection_ob_maximum(eta: Number, atoms: int) -> Fraction:
+def detection_ob_maximum(eta: Number) -> Fraction:
     """Exact maximum of the detection-conditioned statistic (pattern "e10")
-    over perfect-anti-correlation models on a uniform grid of ``atoms``
-    atoms, with every pair's detection set holding exactly eta * atoms atoms.
-
-    Same exchangeability reduction as epsilon_ob_maximum: atoms are grouped
-    by their membership pattern in the three detection sets the statistic
-    reads (pairs (a,b), (b,c), (a,c)); the remaining six pair sets can always
-    be filled to the required mass and never enter the objective.
-    """
-    if not 1 <= atoms <= 10:
-        raise ValueError("atoms must lie in 1..10")
+    over all perfect-anti-correlation models with joint detection mass
+    ``eta`` for every pair: min((4 - 3*eta)/eta, 3) (Theorem 3), certified by
+    ``_dual_violations`` and attained by ``_detection_witness``, at any
+    rational point."""
+    eta = Fraction(eta)
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    k = _check_grid_fraction(eta, atoms, "eta")
-    if k == 0:
-        raise ValueError("eta must give at least one detected atom per pair")
-
-    combos = list(itertools.product((0, 1), repeat=3))  # membership in ab, bc, ac
-    best: Fraction | None = None
-    for branch in (1, -1):
-        # Perfect anti-correlation: A_s B_t = -A_s A_t; x = A_a A_b, y = A_a A_c.
-        value = {
-            (m_ab, m_bc, m_ac): max(
-                -branch * x * m_ab + branch * x * y * m_bc + y * m_ac
-                for x in (1, -1)
-                for y in (1, -1)
-            )
-            for m_ab, m_bc, m_ac in combos
-        }
-
-        def search(index: int, remaining: int, in_ab: int, in_bc: int, in_ac: int, acc: int):
-            nonlocal best
-            if index == len(combos):
-                if remaining == 0 and in_ab == in_bc == in_ac == k:
-                    candidate = Fraction(acc, k)
-                    if best is None or candidate > best:
-                        best = candidate
-                return
-            m_ab, m_bc, m_ac = combos[index]
-            for count in range(remaining + 1):
-                ab = in_ab + count * m_ab
-                bc = in_bc + count * m_bc
-                ac = in_ac + count * m_ac
-                if ab > k or bc > k or ac > k:
-                    break
-                search(
-                    index + 1,
-                    remaining - count,
-                    ab,
-                    bc,
-                    ac,
-                    acc + count * value[combos[index]],
-                )
-
-        search(0, atoms, 0, 0, 0, 0)
-    assert best is not None
-    return best
+    value = model_ob_statistic(_detection_witness(eta), pattern="e10", conditional=True)
+    return _certified(value, "e10", Fraction(0), eta)

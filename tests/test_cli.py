@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,8 +120,54 @@ class TestVerifyCommand:
         assert "3/2" in result.output
 
     def test_bad_atoms_is_usage_error(self, runner):
-        result = invoke(runner, "verify", "--atoms", "13")
-        assert result.exit_code == 2
+        for atoms in ("0", "-1"):
+            result = invoke(runner, "verify", "--atoms", atoms)
+            assert result.exit_code == 2
+            assert "--atoms must be at least 1" in result.output
+
+    @pytest.mark.parametrize(
+        "args, achieved",
+        [
+            (("--eta", "0.5", "--atoms", "11"), "3"),
+            (("--epsilon", "0.3", "--atoms", "20"), "8/5"),
+            (("--epsilon", "0.25", "--atoms", "1" + "0" * 400), "3/2"),
+        ],
+        ids=["eta", "epsilon", "beyond-float"],
+    )
+    def test_atoms_only_snap(self, runner, args, achieved):
+        # past the old caps of 10 and 12 atoms; probe * atoms is rounded exactly,
+        # since a float product overflows at 10^400 atoms
+        result = invoke(runner, "verify", "--json", *args)
+        assert result.exit_code == 0
+        assert [c["achieved"] for c in json.loads(result.output)["checks"]] == [achieved]
+
+    def test_old_grid_domain(self, runner):
+        # the 145 points the grid searches covered, each at its own --atoms
+        points = [("--epsilon", k, n, min(1 + 2 * Fraction(k, n), 3))
+                  for n in range(1, 13) for k in range(n + 1)]
+        points += [("--eta", k, n, min((4 - 3 * Fraction(k, n)) / Fraction(k, n), 3))
+                   for n in range(1, 11) for k in range(1, n + 1)]
+        assert len(points) == 145
+        for option, k, n, closed in points:
+            result = invoke(runner, "verify", "--json", option, repr(k / n), "--atoms", str(n))
+            assert result.exit_code == 0
+            assert [c["achieved"] for c in json.loads(result.output)["checks"]] == [str(closed)]
+
+    def test_in_process_calls_release_their_streams(self, runner):
+        # click.echo's default stream cache kept every call's sys.stdout alive
+        for _ in range(20):
+            invoke(runner, "verify", "--perfect", "--json")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                invoke(runner, "verify", "--perfect", "--json")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / 300 < 500
 
     def test_model_file_checks(self, runner, tmp_path):
         rng = np.random.default_rng(21)

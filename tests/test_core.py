@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from obell.core import (
     model_from_json_str,
     model_to_json_str,
     setting_triple_from_json,
-    setting_triple_to_json,
     validate_model,
 )
 from obell.lhv import make_epsilon_model
@@ -170,7 +170,19 @@ class TestJsonRoundTrip:
             b=make_setting((0.5, -math.sqrt(3) / 2, 0)),
             c=make_setting((-0.5, -math.sqrt(3) / 2, 0)),
         )
-        assert setting_triple_from_json(setting_triple_to_json(t)) == t
+        wire = {label: list(t.get(label).axis) for label in LABELS}
+        assert setting_triple_from_json(json.loads(json.dumps(wire))) == t
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [({"a": "100"}, "settings.a"), ({"a": [True, 0, 0]}, "settings.a"), ({"d": [1, 0, 0]}, "settings.d")],
+        ids=["string-vector", "bool-component", "extra-label"],
+    )
+    def test_setting_triple_read_strictly(self, change, field):
+        # each was once coerced to (1, 0, 0) or ignored
+        obj = {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1], **change}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            setting_triple_from_json(obj)
 
     def test_malformed_model_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

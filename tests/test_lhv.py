@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,9 @@ from obell.core import (
     validate_model,
 )
 from obell.lhv import (
+    _detection_witness,
+    _dual_violations,
+    _epsilon_witness,
     classical_ob_maximum,
     detection_ob_maximum,
     enumerate_strategies,
@@ -160,26 +164,23 @@ class TestEpsilonModel:
 
 class TestEpsilonOracle:
     def test_zero_defect(self):
-        assert epsilon_ob_maximum(0, 8) == 1
+        assert epsilon_ob_maximum(0) == 1
 
     def test_quarter_defect_attains_bound(self):
         # frozen achieved value from the exhaustive search
-        value = epsilon_ob_maximum(Fraction(1, 4), 8)
+        value = epsilon_ob_maximum(Fraction(1, 4))
         assert value == Fraction(3, 2)
         assert value <= 1 + 2 * Fraction(1, 4)
 
     def test_half_defect(self):
-        value = epsilon_ob_maximum(Fraction(1, 2), 8)
+        value = epsilon_ob_maximum(Fraction(1, 2))
         assert value == 2
         assert value <= Fraction(2)
 
-    def test_non_grid_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="multiple"):
-            epsilon_ob_maximum(0.3, 8)
-
-    def test_atoms_limit(self):
-        with pytest.raises(ValueError):
-            epsilon_ob_maximum(0, 13)
+    @pytest.mark.parametrize("epsilon", [-Fraction(1, 8), Fraction(9, 8)])
+    def test_out_of_range_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must lie"):
+            epsilon_ob_maximum(epsilon)
 
 
 class TestDetectionModel:
@@ -223,22 +224,56 @@ class TestDetectionModel:
 
 class TestDetectionOracle:
     def test_full_efficiency(self):
-        assert detection_ob_maximum(1, 9) == 1
+        assert detection_ob_maximum(1) == 1
 
     def test_paper_threshold_attains_bound(self):
-        value = detection_ob_maximum(Fraction(8, 9), 9)
+        value = detection_ob_maximum(Fraction(8, 9))
         assert value == Fraction(3, 2)
 
     def test_eighty_percent(self):
-        value = detection_ob_maximum(Fraction(4, 5), 10)
+        value = detection_ob_maximum(Fraction(4, 5))
         assert value == 2
         assert value <= Fraction(4 - 3 * Fraction(4, 5), Fraction(4, 5))
 
+    @pytest.mark.parametrize("eta", [Fraction(1, 2), Fraction(2, 3)])
+    def test_witness_switches_form_at_three(self, eta):
+        assert detection_ob_maximum(eta) == 3
+
     def test_limits(self):
         with pytest.raises(ValueError):
-            detection_ob_maximum(Fraction(1, 2), 11)
-        with pytest.raises(ValueError):
-            detection_ob_maximum(0, 5)
+            detection_ob_maximum(0)
+
+
+class TestDualCertificate:
+    def test_one_dual_vector_satisfies_every_row(self):
+        assert _dual_violations("e7") == _dual_violations("e10") == ()
+
+    @pytest.mark.parametrize("value", [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1])
+    def test_witnesses_validate(self, value):
+        assert validate_model(_epsilon_witness(Fraction(value))) == []
+        if value:
+            assert validate_model(_detection_witness(Fraction(value))) == []
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 10), Fraction(1, 2), Fraction(2, 3), Fraction(7, 9), 1])
+    def test_detection_witness_masses_equal_eta(self, eta):
+        m = _detection_witness(eta)
+        for key in PAIR_KEYS:
+            assert sum(w for w, d in zip(m.weights, m.detect_flag) if d[key]) == eta
+
+    def test_oracles_equal_closed_form(self):
+        # verify's old grid domain (epsilon = k/n, n <= 12; eta = k/n, n <= 10),
+        # then 100 seeded random rationals with denominators up to 1000
+        rng = random.Random(15)
+        epsilons = [Fraction(k, n) for n in range(1, 13) for k in range(n + 1)]
+        etas = [Fraction(k, n) for n in range(1, 11) for k in range(1, n + 1)]
+        for _ in range(100):
+            n = rng.randint(1, 1000)
+            epsilons.append(Fraction(rng.randint(0, n), n))
+            etas.append(Fraction(rng.randint(1, n), n))
+        for epsilon in epsilons:
+            assert epsilon_ob_maximum(epsilon) == min(1 + 2 * epsilon, 3), epsilon
+        for eta in etas:
+            assert detection_ob_maximum(eta) == min((4 - 3 * eta) / eta, 3), eta
 
 
 class TestMixedModelProperties:
