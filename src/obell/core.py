@@ -4,6 +4,9 @@ deterministic strategies and finite hidden-variable models.
 All types here are immutable after construction and safe to share across
 threads. Hidden-variable spaces are finite lists of weighted atoms; weights
 may be exact ``Fraction``s (enumeration results) or floats (everything else).
+A model stores only what it cannot derive: whether an atom is perfectly
+anti-correlated at a setting is read off its strategy. The model JSON reader
+is strict and the one place that checks what only the wire can get wrong.
 """
 from __future__ import annotations
 
@@ -144,15 +147,14 @@ class DeterministicStrategy:
 class HiddenVariableModel:
     """A finite mixture of deterministic strategies over atoms lambda.
 
-    Per atom, ``anticorr_flag[s]`` records whether the atom lies in the
-    perfectly anti-correlated set for setting s (off that set the dichotomous
-    outcomes are forced equal), and ``detect_flag["st"]`` whether the atom is
-    jointly detected when the pair (s, t) is measured.
+    Per atom, ``detect_flag["st"]`` records whether the atom is jointly
+    detected when the pair (s, t) is measured. An atom lies in the perfectly
+    anti-correlated set for setting s exactly when its strategy has
+    B_s = -A_s; with +-1 outcomes, off that set B_s = A_s.
     """
 
     weights: tuple[Number, ...]
     strategy_at: tuple[DeterministicStrategy, ...]
-    anticorr_flag: tuple[Mapping[str, bool], ...]
     detect_flag: tuple[Mapping[str, bool], ...]
 
     @property
@@ -162,9 +164,10 @@ class HiddenVariableModel:
     @property
     def epsilon_hat(self) -> float:
         """The anti-correlation defect: the largest mass, over the settings,
-        off that setting's anti-correlated set (a float sum, atom by atom)."""
+        off that setting's anti-correlated set, where B_s = A_s (a float sum,
+        atom by atom)."""
         return max(
-            sum(float(w) for w, flag in zip(self.weights, self.anticorr_flag) if not flag[s])
+            sum(float(w) for w, st in zip(self.weights, self.strategy_at) if st.b_out[s] == st.a_out[s])
             for s in LABELS
         )
 
@@ -179,26 +182,15 @@ class HiddenVariableModel:
         cls,
         weights: Sequence[Number],
         strategies: Sequence[DeterministicStrategy],
-        anticorr_flag: Sequence[Mapping[str, bool]] | None = None,
         detect_flag: Sequence[Mapping[str, bool]] | None = None,
     ) -> "HiddenVariableModel":
-        """Assemble a model, deriving flags where omitted.
-
-        Without ``anticorr_flag`` the flag is read off each strategy
-        (True iff B_s = -A_s); without ``detect_flag`` every atom is
-        detected for every pair.
-        """
-        if anticorr_flag is None:
-            anticorr_flag = [
-                {s: strat.b_out[s] == -strat.a_out[s] for s in LABELS}
-                for strat in strategies
-            ]
+        """Assemble a model; without ``detect_flag`` every atom is detected
+        for every pair."""
         if detect_flag is None:
             detect_flag = [{key: True for key in PAIR_KEYS} for _ in strategies]
         return cls(
             weights=tuple(weights),
             strategy_at=tuple(strategies),
-            anticorr_flag=tuple(dict(f) for f in anticorr_flag),
             detect_flag=tuple(dict(f) for f in detect_flag),
         )
 
@@ -211,12 +203,9 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
     """
     violations: list[str] = []
     n = len(m.weights)
-    if not (len(m.strategy_at) == len(m.anticorr_flag) == len(m.detect_flag) == n):
-        violations.append(
-            "field lengths disagree: weights=%d strategy_at=%d anticorr_flag=%d detect_flag=%d"
-            % (n, len(m.strategy_at), len(m.anticorr_flag), len(m.detect_flag))
-        )
-        return violations
+    if not (len(m.strategy_at) == len(m.detect_flag) == n):
+        lengths = (n, len(m.strategy_at), len(m.detect_flag))
+        return ["field lengths disagree: weights=%d strategy_at=%d detect_flag=%d" % lengths]
 
     total = 0
     for i, w in enumerate(m.weights):
@@ -230,23 +219,9 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
     if abs(total - 1) > WEIGHT_TOL:
         violations.append(f"weights: normalization broken, sum is {float(total)!r}")
 
-    for i, (strat, aflag, dflag) in enumerate(
-        zip(m.strategy_at, m.anticorr_flag, m.detect_flag)
-    ):
-        if set(aflag) != set(LABELS):
-            violations.append(f"atom {i}: anticorr_flag labels must be {LABELS}")
-            continue
+    for i, dflag in enumerate(m.detect_flag):
         if set(dflag) != set(PAIR_KEYS):
             violations.append(f"atom {i}: detect_flag keys must cover all 9 pairs")
-        for s in LABELS:
-            if aflag[s] and strat.b_out[s] != -strat.a_out[s]:
-                violations.append(
-                    f"atom {i}: anticorr_flag[{s!r}] set but b_out[{s!r}] != -a_out[{s!r}]"
-                )
-            if not aflag[s] and strat.b_out[s] != strat.a_out[s]:
-                violations.append(
-                    f"atom {i}: anticorr_flag[{s!r}] clear but b_out[{s!r}] != a_out[{s!r}]"
-                )
     return violations
 
 
@@ -260,12 +235,13 @@ def _number_to_json(x: Number):
     return float(x)
 
 
-def _number_from_json(x) -> Number:
-    if isinstance(x, str):
-        return Fraction(x)
+def _weight_from_json(x, field: str) -> Number:
     if isinstance(x, bool):
         return x  # kept as is, so validate_model can name the atom
-    return float(x)
+    try:
+        return float(x) if isinstance(x, (int, float)) else Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):  # "1/0", 10**400
+        raise ValueError(f'{field} must be a number or a "p/q" string, got {x!r}') from None
 
 
 def setting_from_json(value, field: str) -> MeasurementSetting:
@@ -293,49 +269,63 @@ def setting_triple_from_json(obj) -> SettingTriple:
     return SettingTriple(**{lab: setting_from_json(obj.get(lab), f"settings.{lab}") for lab in LABELS})
 
 
+def _anticorr_flags(strategies: Sequence[DeterministicStrategy]) -> list[dict]:
+    """The wire's ``anticorr_flag``: true exactly where B_s = -A_s."""
+    return [{s: st.b_out[s] == -st.a_out[s] for s in LABELS} for st in strategies]
+
+
 def model_to_json(m: HiddenVariableModel) -> dict:
     return {
         "weights": [_number_to_json(w) for w in m.weights],
-        "strategy_at": [
-            {"a_out": dict(s.a_out), "b_out": dict(s.b_out)} for s in m.strategy_at
-        ],
-        "anticorr_flag": [dict(f) for f in m.anticorr_flag],
+        "strategy_at": [{"a_out": dict(s.a_out), "b_out": dict(s.b_out)} for s in m.strategy_at],
+        "anticorr_flag": _anticorr_flags(m.strategy_at),
         "detect_flag": [dict(f) for f in m.detect_flag],
     }
 
 
-def _json_object(value, field: str) -> Mapping:
-    if not isinstance(value, Mapping):
+def _json_entries(value, field: str, allowed: tuple) -> dict:
+    """A JSON object whose values are each one of ``allowed``, by type and
+    value: (1, -1) for outcomes (a bool is not one), (True, False) for flags."""
+    if not isinstance(value, dict):
         raise TypeError(f"{field} entries must be objects, got {value!r}")
-    return value
+    kind = type(allowed[0])
+    for k, v in value.items():
+        if type(v) is not kind or v not in allowed:
+            choices = " or ".join(map(json.dumps, allowed))
+            raise ValueError(f"{field}[{k!r}] must be {choices}, got {v!r}")
+    return dict(value)
 
 
 def model_from_json(obj: Mapping) -> HiddenVariableModel:
+    """Read a model from its wire form, coercing nothing: an outcome is the
+    integer 1 or -1 and a flag a JSON boolean. The wire's ``anticorr_flag``
+    carries no information of its own, so it must be true exactly where
+    b_out = -a_out. Every error is a ``ValueError`` that names the field."""
     try:
-        weights = tuple(_number_from_json(w) for w in obj["weights"])
+        weights = tuple(_weight_from_json(w, f"weights[{i}]") for i, w in enumerate(obj["weights"]))
         strategies = tuple(
             DeterministicStrategy(
-                a_out={k: int(v) for k, v in _json_object(s["a_out"], "a_out").items()},
-                b_out={k: int(v) for k, v in _json_object(s["b_out"], "b_out").items()},
+                **{side: _json_entries(s[side], f"atom {i}: {side}", (1, -1)) for side in ("a_out", "b_out")}
             )
-            for s in obj["strategy_at"]
+            for i, s in enumerate(obj["strategy_at"])
         )
-        anticorr = tuple(
-            {k: bool(v) for k, v in _json_object(f, "anticorr_flag").items()}
-            for f in obj["anticorr_flag"]
-        )
-        detect = tuple(
-            {k: bool(v) for k, v in _json_object(f, "detect_flag").items()}
-            for f in obj["detect_flag"]
+        anticorr, detect = (
+            tuple(_json_entries(f, f"atom {i}: {field}", (True, False)) for i, f in enumerate(obj[field]))
+            for field in ("anticorr_flag", "detect_flag")
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hidden-variable model JSON: {exc}") from exc
-    return HiddenVariableModel(
-        weights=weights,
-        strategy_at=strategies,
-        anticorr_flag=anticorr,
-        detect_flag=detect,
-    )
+    derived = _anticorr_flags(strategies)
+    if len(anticorr) != len(derived):
+        first, n = min(len(anticorr), len(derived)), len(derived)
+        raise ValueError(f"atom {first}: anticorr_flag has {len(anticorr)} entries for {n} strategies")
+    for i, (flag, want) in enumerate(zip(anticorr, derived)):
+        if flag != want:
+            raise ValueError(
+                f"atom {i}: anticorr_flag must be true exactly where b_out = -a_out: "
+                f"expected {want}, got {flag}"
+            )
+    return HiddenVariableModel(weights=weights, strategy_at=strategies, detect_flag=detect)
 
 
 def model_to_json_str(m: HiddenVariableModel) -> str:

@@ -11,6 +11,7 @@ checks at the boundary (e.g. a maximum of exactly 1) never suffer float noise.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -78,28 +79,15 @@ def model_ob_statistic(
 
 
 def enumerate_strategies(perfect_anticorrelation: bool) -> list[DeterministicStrategy]:
-    """All deterministic strategies, in lexicographic order with +1 before -1.
-
-    Constrained (perfect anti-correlation, B_s = -A_s): iterates over
-    (A_a, A_b, A_c), 8 strategies. Unconstrained: iterates over
-    (A_a, A_b, A_c, B_a, B_b, B_c), 64 strategies.
+    """All deterministic strategies over (A_a, A_b, A_c, B_a, B_b, B_c), in
+    lexicographic order with +1 before -1: 64 strategies, or the 8 with
+    B = -A under perfect anti-correlation.
     """
-    out = []
-    if perfect_anticorrelation:
-        for bits in itertools.product((1, -1), repeat=3):
-            a_out = dict(zip(LABELS, bits))
-            out.append(
-                DeterministicStrategy(a_out=a_out, b_out={s: -v for s, v in a_out.items()})
-            )
-    else:
-        for bits in itertools.product((1, -1), repeat=6):
-            out.append(
-                DeterministicStrategy(
-                    a_out=dict(zip(LABELS, bits[:3])),
-                    b_out=dict(zip(LABELS, bits[3:])),
-                )
-            )
-    return out
+    return [
+        DeterministicStrategy(a_out=dict(zip(LABELS, bits[:3])), b_out=dict(zip(LABELS, bits[3:])))
+        for bits in itertools.product((1, -1), repeat=6)
+        if not perfect_anticorrelation or all(b == -a for a, b in zip(bits[:3], bits[3:]))
+    ]
 
 
 def strategy_ob_statistic(strat: DeterministicStrategy, pattern: str = "e7") -> int:
@@ -152,14 +140,14 @@ def make_epsilon_model(
                 f"flip_sets[{s!r}] has mass {float(mass)!r}, above declared epsilon {float(epsilon)!r}"
             )
 
-    strategies = []
-    anticorr = []
-    for i, (_, strat) in enumerate(base):
-        flag = {s: i not in flips[s] for s in LABELS}
-        b_out = {s: (-strat.a_out[s] if flag[s] else strat.a_out[s]) for s in LABELS}
-        strategies.append(DeterministicStrategy(a_out=dict(strat.a_out), b_out=b_out))
-        anticorr.append(flag)
-    return HiddenVariableModel.build(weights, strategies, anticorr_flag=anticorr)
+    strategies = [
+        DeterministicStrategy(
+            a_out=dict(strat.a_out),
+            b_out={s: strat.a_out[s] if i in flips[s] else -strat.a_out[s] for s in LABELS},
+        )
+        for i, (_, strat) in enumerate(base)
+    ]
+    return HiddenVariableModel.build(weights, strategies)
 
 
 def make_detection_model(
@@ -176,9 +164,9 @@ def make_detection_model(
     if missing:
         raise ValueError(f"detect_sets missing pairs {missing}")
     n = base.n_atoms
+    sets = {key: frozenset(detect_sets[key]) for key in PAIR_KEYS}
     masses = {}
-    for key in PAIR_KEYS:
-        atoms = frozenset(detect_sets[key])
+    for key, atoms in sets.items():
         if any(not 0 <= i < n for i in atoms):
             raise ValueError(f"detect_sets[{key!r}] references atoms outside 0..{n - 1}")
         masses[key] = sum(base.weights[i] for i in atoms)
@@ -189,15 +177,8 @@ def make_detection_model(
                 f"detection mass for pair {key!r} is {float(mass)!r}, "
                 f"differs from pair 'ab' mass {float(reference)!r}"
             )
-    detect = [
-        {key: (i in frozenset(detect_sets[key])) for key in PAIR_KEYS} for i in range(n)
-    ]
-    return HiddenVariableModel(
-        weights=base.weights,
-        strategy_at=base.strategy_at,
-        anticorr_flag=base.anticorr_flag,
-        detect_flag=tuple(detect),
-    )
+    detect = tuple({key: i in sets[key] for key in PAIR_KEYS} for i in range(n))
+    return dataclasses.replace(base, detect_flag=detect)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import obell
-from obell.core import LABELS, PAIR_KEYS, DeterministicStrategy, HiddenVariableModel
+from obell.core import LABELS, PAIR_KEYS, DeterministicStrategy, HiddenVariableModel, model_to_json
 from obell.lhv import make_detection_model, make_epsilon_model
 
 
@@ -87,6 +87,41 @@ def random_combined_model(
         for key in PAIR_KEYS
     }
     return make_detection_model(model, detect_sets)
+
+
+#: Wire values the model JSON reader must refuse, each as (where, value, the
+#: message it must give). ``where`` is a path into :func:`model_wire_with`'s
+#: wire dict; atom 0 there has a_out = (1, 1, 1), so coercing ``1.9``, ``"1"``
+#: or ``true`` to 1, or ``"false"`` or ``"no"`` to true, would change nothing.
+BAD_MODEL_WIRE = [
+    (("weights", 0), "1/0", 'weights[0] must be a number or a "p/q" string, got \'1/0\''),
+    (("weights", 1), 10**400, 'weights[1] must be a number or a "p/q" string, got 1000'),
+    (("strategy_at", 0, "a_out", "a"), 1.9, "atom 0: a_out['a'] must be 1 or -1, got 1.9"),
+    (("strategy_at", 0, "a_out", "a"), "1", "atom 0: a_out['a'] must be 1 or -1, got '1'"),
+    (("strategy_at", 0, "a_out", "a"), True, "atom 0: a_out['a'] must be 1 or -1, got True"),
+    (("detect_flag", 0, "ab"), "false", "atom 0: detect_flag['ab'] must be true or false, got 'false'"),
+    (("anticorr_flag", 0, "a"), "no", "atom 0: anticorr_flag['a'] must be true or false, got 'no'"),
+    (("anticorr_flag", 0, "a"), False, "atom 0: anticorr_flag must be true exactly where b_out = -a_out"),
+]
+BAD_MODEL_WIRE_IDS = ["weight-1/0", "weight-10**400", "outcome-1.9", "outcome-str", "outcome-bool",
+                      "detect-str", "anticorr-str", "anticorr-mismatch"]
+
+
+def model_wire_with(where: tuple = (), value=None) -> dict:
+    """The wire dict of a valid two-atom model, with the entry at ``where``
+    (a path of keys and indices) replaced by ``value``."""
+    strategies = [
+        DeterministicStrategy(a_out=dict(zip(LABELS, a)), b_out={s: -v for s, v in zip(LABELS, a)})
+        for a in ((1, 1, 1), (1, -1, 1))
+    ]
+    wire = model_to_json(HiddenVariableModel.build([Fraction(1, 2)] * 2, strategies))
+    if where:
+        *parents, last = where
+        entry = wire
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+    return wire
 
 
 #: Address-space cap of a capped child: enough for numpy, small enough that

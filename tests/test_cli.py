@@ -13,7 +13,15 @@ from click.testing import CliRunner
 from obell.cli import main
 from obell.core import model_to_json_str
 
-from helpers import random_combined_model, random_detection_model, random_perfect_model, run_child
+from helpers import (
+    BAD_MODEL_WIRE,
+    BAD_MODEL_WIRE_IDS,
+    model_wire_with,
+    random_combined_model,
+    random_detection_model,
+    random_perfect_model,
+    run_child,
+)
 
 
 @pytest.fixture
@@ -195,6 +203,15 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "detect_flag" in result.output
 
+    @pytest.mark.parametrize("where, value, message", BAD_MODEL_WIRE, ids=BAD_MODEL_WIRE_IDS)
+    def test_bad_model_wire_is_usage_error(self, runner, tmp_path, where, value, message):
+        # a traceback (weight "1/0") or a silent coercion (the rest) once
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_wire_with(where, value)))
+        result = invoke(runner, "verify", "--model", str(path))
+        assert result.exit_code == 2
+        assert message in result.output
+
     @pytest.mark.parametrize("option", ["--epsilon", "--eta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_probe_is_usage_error(self, runner, option, value):
@@ -271,6 +288,16 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["statistic"] <= 1 + 3 * payload["statistic_se"]
+
+    @pytest.mark.parametrize("where, value, message", BAD_MODEL_WIRE, ids=BAD_MODEL_WIRE_IDS)
+    def test_bad_model_wire_is_usage_error(self, runner, tmp_path, where, value, message):
+        (tmp_path / "model.json").write_text(json.dumps(model_wire_with(where, value)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": "lhv", "model": "model.json", "trials_per_pair": 100}))
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key_is_usage_error(self, runner, tmp_path):
         config = tmp_path / "config.json"

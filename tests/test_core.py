@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from obell.core import (
     LABELS,
-    PAIR_KEYS,
     CorrelationTriple,
     DeterministicStrategy,
     HiddenVariableModel,
@@ -24,7 +23,13 @@ from obell.core import (
 )
 from obell.lhv import make_epsilon_model
 
-from helpers import random_epsilon_model, random_perfect_model
+from helpers import (
+    BAD_MODEL_WIRE,
+    BAD_MODEL_WIRE_IDS,
+    model_wire_with,
+    random_epsilon_model,
+    random_perfect_model,
+)
 
 
 class TestMakeSetting:
@@ -96,16 +101,6 @@ class TestValidateModel:
         violations = validate_model(m)
         assert len(violations) == 1
         assert "normalization" in violations[0]
-
-    def test_anticorr_flag_mismatch_named(self):
-        m = HiddenVariableModel(
-            weights=(1.0,),
-            strategy_at=(_strategy((1, 1, 1), (1, -1, -1)),),
-            anticorr_flag=({"a": True, "b": True, "c": True},),
-            detect_flag=({k: True for k in PAIR_KEYS},),
-        )
-        violations = validate_model(m)
-        assert any("anticorr_flag['a']" in v for v in violations)
 
     def test_constructed_models_are_valid(self):
         rng = np.random.default_rng(7)
@@ -183,6 +178,28 @@ class TestJsonRoundTrip:
         obj = {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1], **change}
         with pytest.raises(ValueError, match=re.escape(field)):
             setting_triple_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            ([], "atom 0: anticorr_flag has 0 entries for 1 strategies"),
+            ([{"a": False, "b": True, "c": True}] * 2, "atom 1: anticorr_flag has 2 entries for 1 strategies"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_anticorr_flag_count_must_match(self, flags, needle):
+        m = HiddenVariableModel.build([1.0], [_strategy((1, 1, 1), (1, -1, -1))])
+        wire = json.loads(model_to_json_str(m))
+        assert wire["anticorr_flag"] == [{"a": False, "b": True, "c": True}]
+        wire["anticorr_flag"] = flags
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            model_from_json_str(json.dumps(wire))
+
+    @pytest.mark.parametrize("where, value, message", BAD_MODEL_WIRE, ids=BAD_MODEL_WIRE_IDS)
+    def test_wire_values_read_strictly(self, where, value, message):
+        assert model_from_json_str(json.dumps(model_wire_with())).n_atoms == 2
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_json_str(json.dumps(model_wire_with(where, value)))
 
     def test_malformed_model_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

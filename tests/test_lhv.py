@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -86,9 +87,8 @@ class TestConditionalCorrelation:
         # Only the anti-correlated atom is detected: the conditional
         # correlation at equal settings is -1 even though the plain one is not.
         strategies = [strat((1, 1, 1), (-1, -1, -1)), strat((1, 1, 1), (1, 1, 1))]
-        anticorr = [{s: True for s in LABELS}, {s: False for s in LABELS}]
         detect = [{k: True for k in PAIR_KEYS}, {k: False for k in PAIR_KEYS}]
-        m = HiddenVariableModel.build([0.5, 0.5], strategies, anticorr, detect)
+        m = HiddenVariableModel.build([0.5, 0.5], strategies, detect)
         assert lhv_correlation(m, "a", "a") == 0
         assert lhv_conditional_correlation(m, "a", "a") == -1
 
@@ -114,6 +114,11 @@ class TestEnumeration:
     def test_ordering_deterministic(self):
         first = enumerate_strategies(True)[0]
         assert first.a_out == {"a": 1, "b": 1, "c": 1}
+        a_outs = [tuple(s.a_out[label] for label in LABELS) for s in enumerate_strategies(True)]
+        assert a_outs == list(itertools.product((1, -1), repeat=3))
+        bits = [tuple(s.a_out[label] for label in LABELS) + tuple(s.b_out[label] for label in LABELS)
+                for s in enumerate_strategies(False)]
+        assert bits == list(itertools.product((1, -1), repeat=6))
 
 
 class TestClassicalMaximum:
@@ -200,6 +205,16 @@ class TestDetectionModel:
         for key in PAIR_KEYS:
             mass = sum(w for w, d in zip(m.weights, m.detect_flag) if d[key])
             assert mass == Fraction(9, 10)
+
+    def test_one_shot_iterables_read_once(self):
+        # the sets are Iterables: each was once read twice, so an iterator
+        # passed the mass check and then flagged no atom detected
+        base = HiddenVariableModel.build(
+            uniform_fraction_weights(2), random_strategies(np.random.default_rng(4), 2)
+        )
+        m = make_detection_model(base, {k: iter([0]) for k in PAIR_KEYS})
+        assert [d["ab"] for d in m.detect_flag] == [True, False]
+        assert m.eta_hat == 0.5
 
     def test_unequal_masses_rejected_naming_pair(self):
         rng = np.random.default_rng(7)
