@@ -339,7 +339,10 @@ def _config_field(cfg: dict, key: str):
         ok = isinstance(value, kind) or (value is None and default is None)
     if not ok:
         raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value if kind in (str, bool) else kind(value)
+    try:
+        return value if kind in (str, bool) else kind(value)
+    except OverflowError:  # a whole number beyond float range, e.g. 10**400
+        raise ValueError(f"{key} must be a number within float range, got {value!r}") from None
 
 
 def _config_settings(raw, statistic: str):

@@ -4,12 +4,16 @@ deterministic strategies and finite hidden-variable models.
 All types here are immutable after construction and safe to share across
 threads. Hidden-variable spaces are finite lists of weighted atoms; weights
 may be exact ``Fraction``s (enumeration results) or floats (everything else).
+A model whose weights are all ``Fraction``s is summed in integers, over one
+common denominator computed once per model, and each sum becomes one
+``Fraction`` at the end: the same exact values as ``Fraction`` sums, for less.
 A model stores only what it cannot derive: whether an atom is perfectly
 anti-correlated at a setting is read off its strategy. The model JSON reader
 is strict and the one place that checks what only the wire can get wrong.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +26,7 @@ PAIR_KEYS = tuple(s + t for s in LABELS for t in LABELS)
 
 UNIT_TOL = 1e-12
 WEIGHT_TOL = 1e-12
+_PAIR_KEY_SET = frozenset(PAIR_KEYS)
 
 Number = Union[int, float, Fraction]
 
@@ -161,6 +166,16 @@ class HiddenVariableModel:
     def n_atoms(self) -> int:
         return len(self.weights)
 
+    @functools.cached_property
+    def weight_units(self) -> tuple[int | None, tuple[Number, ...]]:
+        """(D, units): the weights' common denominator and integer numerators,
+        ``weights[i] == units[i] / D``, when all are ``Fraction``s; else
+        (None, weights). :func:`weight_sum` reads a sum of units back."""
+        if not all(isinstance(w, Fraction) for w in self.weights):
+            return None, self.weights
+        d = math.lcm(*(w.denominator for w in self.weights))
+        return d, tuple(w.numerator * (d // w.denominator) for w in self.weights)
+
     @property
     def epsilon_hat(self) -> float:
         """The anti-correlation defect: the largest mass, over the settings,
@@ -195,6 +210,21 @@ class HiddenVariableModel:
         )
 
 
+def weight_sum(total: Number, denominator: int | None) -> Number:
+    """A sum of weight units (see ``HiddenVariableModel.weight_units``) as the
+    weight sum it stands for."""
+    return total if denominator is None else Fraction(total, denominator)
+
+
+def beyond_weight_tol(difference: Number, denominator: int | None) -> bool:
+    """Whether a difference of two sums of weight units exceeds ``WEIGHT_TOL``;
+    over a common denominator, exactly in integers."""
+    if denominator is None:
+        return abs(difference) > WEIGHT_TOL
+    tol_num, tol_den = WEIGHT_TOL.as_integer_ratio()
+    return abs(difference) * tol_den > tol_num * denominator
+
+
 def validate_model(m: HiddenVariableModel) -> list[str]:
     """Check every model invariant; returns diagnostics instead of raising.
 
@@ -207,20 +237,21 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
         lengths = (n, len(m.strategy_at), len(m.detect_flag))
         return ["field lengths disagree: weights=%d strategy_at=%d detect_flag=%d" % lengths]
 
+    denominator, units = m.weight_units
     total = 0
-    for i, w in enumerate(m.weights):
+    for i, (w, unit) in enumerate(zip(m.weights, units)):
         if isinstance(w, bool):
             violations.append(f"atom {i}: weight {w!r} is a bool, not a number")
         elif isinstance(w, float) and not math.isfinite(w):
             violations.append(f"atom {i}: non-finite weight {w!r}")
-        elif w < 0:
+        elif unit < 0:
             violations.append(f"atom {i}: negative weight {w!r}")
-        total += w
-    if abs(total - 1) > WEIGHT_TOL:
-        violations.append(f"weights: normalization broken, sum is {float(total)!r}")
+        total += unit
+    if beyond_weight_tol(total - (denominator or 1), denominator):
+        violations.append(f"weights: normalization broken, sum is {float(weight_sum(total, denominator))!r}")
 
     for i, dflag in enumerate(m.detect_flag):
-        if set(dflag) != set(PAIR_KEYS):
+        if dflag.keys() != _PAIR_KEY_SET:
             violations.append(f"atom {i}: detect_flag keys must cover all 9 pairs")
     return violations
 
@@ -254,7 +285,7 @@ def setting_from_json(value, field: str) -> MeasurementSetting:
         raise ValueError(f"{field} must be a list of 3 numbers, got {value!r}")
     try:
         return make_setting(value)
-    except ValueError as exc:  # zero or non-finite
+    except (ValueError, OverflowError) as exc:  # zero, non-finite, or an integer beyond float range
         raise ValueError(f"{field}: {exc}") from exc
 
 

@@ -23,7 +23,9 @@ from .core import (
     DeterministicStrategy,
     HiddenVariableModel,
     Number,
+    beyond_weight_tol,
     validate_model,
+    weight_sum,
 )
 
 #: Setting-pair patterns for the three-correlation statistic
@@ -44,7 +46,8 @@ def _require_valid(m: HiddenVariableModel) -> None:
 def lhv_correlation(m: HiddenVariableModel, s: str, t: str) -> Number:
     """P(s, t) = sum_lambda w(lambda) A_s(lambda) B_t(lambda), exactly."""
     _require_valid(m)
-    return sum(w * strat.product(s, t) for w, strat in zip(m.weights, m.strategy_at))
+    denominator, units = m.weight_units
+    return weight_sum(sum(w * strat.product(s, t) for w, strat in zip(units, m.strategy_at)), denominator)
 
 
 def lhv_conditional_correlation(m: HiddenVariableModel, s: str, t: str) -> Number:
@@ -56,15 +59,16 @@ def lhv_conditional_correlation(m: HiddenVariableModel, s: str, t: str) -> Numbe
     """
     _require_valid(m)
     key = s + t
-    mass = sum(w for w, d in zip(m.weights, m.detect_flag) if d[key])
+    denominator, units = m.weight_units
+    mass = sum(w for w, d in zip(units, m.detect_flag) if d[key])
     if mass <= 0:
         raise ValueError(f"pair ({s}, {t}): zero detection mass, cannot condition")
     num = sum(
         w * strat.product(s, t)
-        for w, strat, d in zip(m.weights, m.strategy_at, m.detect_flag)
+        for w, strat, d in zip(units, m.strategy_at, m.detect_flag)
         if d[key]
     )
-    return num / mass
+    return num / mass if denominator is None else Fraction(num, mass)
 
 
 def model_ob_statistic(
@@ -125,21 +129,8 @@ def make_epsilon_model(
     only the Alice side of each base strategy matters. The declared defect
     ``epsilon`` caps the mass of every flip set.
     """
-    weights = [w for w, _ in base]
-    total = sum(weights)
-    if abs(total - 1) > 1e-12:
-        raise ValueError(f"base weights must sum to 1, got {float(total)!r}")
     n = len(base)
     flips = {s: frozenset(flip_sets.get(s, ())) for s in LABELS}
-    for s, atoms in flips.items():
-        if any(not 0 <= i < n for i in atoms):
-            raise ValueError(f"flip_sets[{s!r}] references atoms outside 0..{n - 1}")
-        mass = sum(weights[i] for i in atoms)
-        if mass > epsilon + 1e-12:
-            raise ValueError(
-                f"flip_sets[{s!r}] has mass {float(mass)!r}, above declared epsilon {float(epsilon)!r}"
-            )
-
     strategies = [
         DeterministicStrategy(
             a_out=dict(strat.a_out),
@@ -147,7 +138,20 @@ def make_epsilon_model(
         )
         for i, (_, strat) in enumerate(base)
     ]
-    return HiddenVariableModel.build(weights, strategies)
+    model = HiddenVariableModel.build([w for w, _ in base], strategies)
+    denominator, units = model.weight_units
+    total = sum(units)
+    if beyond_weight_tol(total - (denominator or 1), denominator):
+        raise ValueError(f"base weights must sum to 1, got {float(weight_sum(total, denominator))!r}")
+    for s, atoms in flips.items():
+        if any(not 0 <= i < n for i in atoms):
+            raise ValueError(f"flip_sets[{s!r}] references atoms outside 0..{n - 1}")
+        mass = weight_sum(sum(units[i] for i in atoms), denominator)
+        if mass > epsilon + 1e-12:
+            raise ValueError(
+                f"flip_sets[{s!r}] has mass {float(mass)!r}, above declared epsilon {float(epsilon)!r}"
+            )
+    return model
 
 
 def make_detection_model(
@@ -164,18 +168,19 @@ def make_detection_model(
     if missing:
         raise ValueError(f"detect_sets missing pairs {missing}")
     n = base.n_atoms
+    denominator, units = base.weight_units
     sets = {key: frozenset(detect_sets[key]) for key in PAIR_KEYS}
     masses = {}
     for key, atoms in sets.items():
         if any(not 0 <= i < n for i in atoms):
             raise ValueError(f"detect_sets[{key!r}] references atoms outside 0..{n - 1}")
-        masses[key] = sum(base.weights[i] for i in atoms)
+        masses[key] = sum(units[i] for i in atoms)
     reference = masses["ab"]
     for key, mass in masses.items():
-        if abs(mass - reference) > 1e-12:
+        if beyond_weight_tol(mass - reference, denominator):
             raise ValueError(
-                f"detection mass for pair {key!r} is {float(mass)!r}, "
-                f"differs from pair 'ab' mass {float(reference)!r}"
+                f"detection mass for pair {key!r} is {float(weight_sum(mass, denominator))!r}, "
+                f"differs from pair 'ab' mass {float(weight_sum(reference, denominator))!r}"
             )
     detect = tuple({key: i in sets[key] for key in PAIR_KEYS} for i in range(n))
     return dataclasses.replace(base, detect_flag=detect)

@@ -12,7 +12,7 @@ import numpy as np
 
 import obell
 from obell.core import LABELS, PAIR_KEYS, DeterministicStrategy, HiddenVariableModel, model_to_json
-from obell.lhv import make_detection_model, make_epsilon_model
+from obell.lhv import STATISTIC_PATTERNS, make_detection_model, make_epsilon_model
 
 
 def random_strategies(rng: np.random.Generator, n: int) -> list[DeterministicStrategy]:
@@ -87,6 +87,27 @@ def random_combined_model(
         for key in PAIR_KEYS
     }
     return make_detection_model(model, detect_sets)
+
+
+def reference_correlation(m: HiddenVariableModel, s: str, t: str):
+    """P(s, t) as a plain sum of the weights themselves: the reference the
+    library's integer sums over a common denominator must equal."""
+    return sum(w * st.product(s, t) for w, st in zip(m.weights, m.strategy_at))
+
+
+def reference_conditional_correlation(m: HiddenVariableModel, s: str, t: str):
+    """P(s, t) on the atoms detected for (s, t), as plain weight sums."""
+    mass = sum(w for w, d in zip(m.weights, m.detect_flag) if d[s + t])
+    if mass <= 0:
+        raise ValueError(f"pair ({s}, {t}): zero detection mass, cannot condition")
+    num = sum(w * st.product(s, t) for w, st, d in zip(m.weights, m.strategy_at, m.detect_flag) if d[s + t])
+    return num / mass
+
+
+def reference_ob_statistic(m: HiddenVariableModel, pattern: str, conditional: bool):
+    corr = reference_conditional_correlation if conditional else reference_correlation
+    p1, p2, p3 = (corr(m, s, t) for s, t in STATISTIC_PATTERNS[pattern])
+    return abs(p1 - p2) - p3
 
 
 #: Wire values the model JSON reader must refuse, each as (where, value, the

@@ -336,8 +336,9 @@ class TestSimulateCommand:
             ({"settings": {"a": [True, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a must be"),
             ({"settings": {"a": "100", "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a must be"),
             ({"settings": {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1], "d": [1, 0, 0]}}, "settings.d"),
+            ({"settings": {"a": [10**400, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]}}, "settings.a: "),
         ],
-        ids=["ob-number", "chsh-numbers", "bool-component", "string-vector", "extra-label"],
+        ids=["ob-number", "chsh-numbers", "bool-component", "string-vector", "extra-label", "huge-component"],
     )
     def test_malformed_settings_is_usage_error(self, runner, tmp_path, config, field):
         # each used to be coerced or ignored, and ran as (1, 0, 0)
@@ -368,6 +369,8 @@ class TestSimulateCommand:
             ("seed", "Infinity"), ("seed", "1.7"), ("eta", "[1]"), ("eta", "true"),
             ("pattern", "[1]"), ("fair_sampling", '"false"'), ("gamma", '"0.5"'),
             ("model", "5"), ("source", "null"), ("fair_sampling", "null"),
+            pytest.param("eta", str(10**400), id="eta-10**400"),
+            pytest.param("gamma", str(10**400), id="gamma-10**400"),
         ],
     )
     def test_mistyped_config_field_is_usage_error(self, runner, tmp_path, field, text):

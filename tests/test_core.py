@@ -115,6 +115,22 @@ class TestValidateModel:
         )
         assert any("negative weight" in v for v in validate_model(m))
 
+    def test_negative_fraction_weight_named_as_given(self):
+        m = HiddenVariableModel.build(
+            [Fraction(3, 2), Fraction(-1, 2)],
+            [_strategy((1, 1, 1), (-1, -1, -1)), _strategy((1, 1, 1), (-1, -1, -1))],
+        )
+        assert validate_model(m) == ["atom 1: negative weight Fraction(-1, 2)"]
+
+    def test_fraction_total_at_the_tolerance(self):
+        # WEIGHT_TOL is the float 1e-12, a little below 10^-12: both sides of
+        # its exact value
+        strategies = [_strategy((1, 1, 1), (-1, -1, -1))] * 2
+        edge = [Fraction(1, 2), Fraction(1, 2) + Fraction(1e-12)]
+        assert validate_model(HiddenVariableModel.build(edge, strategies)) == []
+        over = HiddenVariableModel.build([edge[0], edge[1] + Fraction(1, 10**30)], strategies)
+        assert validate_model(over) == ["weights: normalization broken, sum is 1.000000000001"]
+
     @pytest.mark.parametrize(
         "weights, needle",
         [

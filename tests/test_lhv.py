@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from obell.core import (
     LABELS,
@@ -35,6 +36,9 @@ from helpers import (
     random_epsilon_model,
     random_perfect_model,
     random_strategies,
+    reference_conditional_correlation,
+    reference_correlation,
+    reference_ob_statistic,
     uniform_fraction_weights,
 )
 
@@ -70,6 +74,49 @@ class TestLhvCorrelation:
         m = HiddenVariableModel.build([0.9], [strat((1, 1, 1), (-1, -1, -1))])
         with pytest.raises(ValueError, match="invalid"):
             lhv_correlation(m, "a", "b")
+
+    def test_int_weights_keep_their_types(self):
+        m = HiddenVariableModel.build([1], [strat((1, 1, 1), (-1, -1, -1))])
+        plain, conditional = lhv_correlation(m, "a", "b"), lhv_conditional_correlation(m, "a", "b")
+        assert (plain, type(plain)) == (-1, int)
+        assert (conditional, type(conditional)) == (-1.0, float)
+
+
+@st.composite
+def rational_models(draw):
+    """1-8 atoms whose weights are the gaps between sorted cut points p/q,
+    q <= 10^6, with random strategies and detection flags."""
+    n = draw(st.integers(1, 8))
+    denominators = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
+    cuts = sorted(Fraction(draw(st.integers(0, q)), q) for q in denominators)
+    weights = [hi - lo for lo, hi in zip([Fraction(0), *cuts], [*cuts, Fraction(1)])]
+    outcomes = st.tuples(*[st.sampled_from((1, -1))] * 3)
+    strategies = [strat(draw(outcomes), draw(outcomes)) for _ in range(n)]
+    detect = [{key: draw(st.booleans()) for key in PAIR_KEYS} for _ in range(n)]
+    return HiddenVariableModel.build(weights, strategies, detect)
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return value, type(value)
+
+
+class TestIntegerSums:
+    @given(rational_models())
+    def test_equal_plain_fraction_sums(self, m):
+        assert validate_model(m) == []
+        for s, t in itertools.product(LABELS, repeat=2):
+            assert _outcome(lhv_correlation, m, s, t) == _outcome(reference_correlation, m, s, t)
+            assert _outcome(lhv_conditional_correlation, m, s, t) == _outcome(
+                reference_conditional_correlation, m, s, t
+            )
+        for pattern, conditional in itertools.product(("e7", "e10"), (False, True)):
+            assert _outcome(model_ob_statistic, m, pattern, conditional) == _outcome(
+                reference_ob_statistic, m, pattern, conditional
+            )
 
 
 class TestConditionalCorrelation:
