@@ -234,7 +234,10 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
         violations = validate_model(model)
         if violations:
             raise click.UsageError("invalid model: " + "; ".join(violations))
-        eps_hat, eta_hat = model.epsilon_hat, model.eta_hat
+        try:
+            eps_hat, eta_hat = model.epsilon_hat, model.eta_hat
+        except ValueError as exc:  # detection that depends on the pair
+            raise click.UsageError(f"invalid model: {exc}")
         delta = float(lhv.model_ob_statistic(model, pattern="e7"))
         bound2 = bounds_mod.theorem2_bound(eps_hat)
         checks.append(

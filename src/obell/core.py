@@ -8,8 +8,10 @@ A model whose weights are all ``Fraction``s is summed in integers, over one
 common denominator computed once per model, and each sum becomes one
 ``Fraction`` at the end: the same exact values as ``Fraction`` sums, for less.
 A model stores only what it cannot derive: whether an atom is perfectly
-anti-correlated at a setting is read off its strategy. The model JSON reader
-is strict and the one place that checks what only the wire can get wrong.
+anti-correlated at a setting is read off its strategy. Each model rule has
+one home: outcomes in ``DeterministicStrategy``, weights in ``validate_model``,
+setting-independent detection in ``HiddenVariableModel.eta_hat``. The model
+JSON reader is strict and checks only what the wire alone can get wrong.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ PAIR_KEYS = tuple(s + t for s in LABELS for t in LABELS)
 
 UNIT_TOL = 1e-12
 WEIGHT_TOL = 1e-12
+_LABEL_SET = frozenset(LABELS)
 _PAIR_KEY_SET = frozenset(PAIR_KEYS)
 
 Number = Union[int, float, Fraction]
@@ -137,11 +140,11 @@ class DeterministicStrategy:
 
     def __post_init__(self) -> None:
         for side, out in (("a_out", self.a_out), ("b_out", self.b_out)):
-            if set(out) != set(LABELS):
+            if out.keys() != _LABEL_SET:
                 raise ValueError(f"{side} must assign exactly the labels {LABELS}")
             for label, value in out.items():
-                if value not in (1, -1):
-                    raise ValueError(f"{side}[{label!r}]={value!r} is not +-1")
+                if type(value) is not int or value not in (1, -1):
+                    raise ValueError(f"{side}[{label!r}] must be 1 or -1, got {value!r}")
 
     def product(self, s: str, t: str) -> int:
         """The outcome product A_s * B_t."""
@@ -186,10 +189,22 @@ class HiddenVariableModel:
             for s in LABELS
         )
 
-    @property
+    @functools.cached_property
     def eta_hat(self) -> float:
         """The joint detection efficiency: the mass detected for the pair
-        (a, b) (a float sum, atom by atom)."""
+        (a, b) (a float sum, atom by atom), computed once per model. The noisy
+        bounds assume setting-independent detection, so a ``ValueError`` names
+        any pair whose mass differs, exactly over ``weight_units``, by more
+        than ``WEIGHT_TOL``."""
+        denominator, units = self.weight_units
+        masses = {key: sum(u for u, d in zip(units, self.detect_flag) if d[key]) for key in PAIR_KEYS}
+        for key, mass in masses.items():
+            if beyond_weight_tol(mass - masses["ab"], denominator):
+                raise ValueError(
+                    f"detection mass for pair {key!r} is {float(weight_sum(mass, denominator))!r}, "
+                    f"differs from pair 'ab' mass {float(weight_sum(masses['ab'], denominator))!r}; "
+                    "the noisy bounds assume detection that does not depend on the settings"
+                )
         return sum(float(w) for w, d in zip(self.weights, self.detect_flag) if d["ab"])
 
     @classmethod
@@ -314,17 +329,27 @@ def model_to_json(m: HiddenVariableModel) -> dict:
     }
 
 
-def _json_entries(value, field: str, allowed: tuple) -> dict:
-    """A JSON object whose values are each one of ``allowed``, by type and
-    value: (1, -1) for outcomes (a bool is not one), (True, False) for flags."""
+def _json_entries(value, field: str, flags: bool = False) -> dict:
+    """A JSON object; with ``flags``, each of its values a JSON boolean.
+    Outcome values are left to ``DeterministicStrategy``."""
     if not isinstance(value, dict):
         raise TypeError(f"{field} entries must be objects, got {value!r}")
-    kind = type(allowed[0])
-    for k, v in value.items():
-        if type(v) is not kind or v not in allowed:
-            choices = " or ".join(map(json.dumps, allowed))
-            raise ValueError(f"{field}[{k!r}] must be {choices}, got {v!r}")
+    for k, v in value.items() if flags else ():
+        if type(v) is not bool:
+            raise ValueError(f"{field}[{k!r}] must be true or false, got {v!r}")
     return dict(value)
+
+
+def _strategy_from_json(entry, i: int) -> DeterministicStrategy:
+    """One ``strategy_at`` entry; the strategy's own errors gain the atom."""
+    try:
+        return DeterministicStrategy(
+            **{side: _json_entries(entry[side], f"atom {i}: {side}") for side in ("a_out", "b_out")}
+        )
+    except KeyError as exc:
+        raise ValueError(f"atom {i}: strategy_at entry has no {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"atom {i}: {exc}") from None
 
 
 def model_from_json(obj: Mapping) -> HiddenVariableModel:
@@ -334,14 +359,9 @@ def model_from_json(obj: Mapping) -> HiddenVariableModel:
     b_out = -a_out. Every error is a ``ValueError`` that names the field."""
     try:
         weights = tuple(_weight_from_json(w, f"weights[{i}]") for i, w in enumerate(obj["weights"]))
-        strategies = tuple(
-            DeterministicStrategy(
-                **{side: _json_entries(s[side], f"atom {i}: {side}", (1, -1)) for side in ("a_out", "b_out")}
-            )
-            for i, s in enumerate(obj["strategy_at"])
-        )
+        strategies = tuple(_strategy_from_json(s, i) for i, s in enumerate(obj["strategy_at"]))
         anticorr, detect = (
-            tuple(_json_entries(f, f"atom {i}: {field}", (True, False)) for i, f in enumerate(obj[field]))
+            tuple(_json_entries(f, f"atom {i}: {field}", flags=True) for i, f in enumerate(obj[field]))
             for field in ("anticorr_flag", "detect_flag")
         )
     except (KeyError, TypeError) as exc:
@@ -357,10 +377,6 @@ def model_from_json(obj: Mapping) -> HiddenVariableModel:
                 f"expected {want}, got {flag}"
             )
     return HiddenVariableModel(weights=weights, strategy_at=strategies, detect_flag=detect)
-
-
-def model_to_json_str(m: HiddenVariableModel) -> str:
-    return json.dumps(model_to_json(m), indent=2, sort_keys=True)
 
 
 def model_from_json_str(text: str) -> HiddenVariableModel:

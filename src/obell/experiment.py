@@ -18,7 +18,7 @@ identical specs give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +108,8 @@ class ExperimentSpec:
             violations = validate_model(self.model)
             if violations:
                 raise ValueError("invalid model: " + "; ".join(violations))
+            if not self.fair_sampling:
+                self.model.eta_hat  # raises, naming the pair, unless the nine masses agree
         elif not self.fair_sampling:
             raise ValueError(
                 "non-fair sampling requires an lhv source: a quantum source has "
@@ -284,21 +286,9 @@ def sweep(
 
 
 def result_to_json(result: ExperimentResult) -> dict:
-    return {
-        "pairs": [
-            {
-                "pair": list(e.pair),
-                "correlation": e.correlation,
-                "n_detected": e.n_detected,
-                "std_error": e.std_error,
-            }
-            for e in result.pairs
-        ],
-        "statistic": result.statistic,
-        "statistic_se": result.statistic_se,
-        "bound_used": result.bound_used,
-        "violation_sigma": result.violation_sigma,
-    }
+    """Every field of ``result`` in field order; ``json`` writes each pair
+    tuple as a list."""
+    return asdict(result)
 
 
 SUMMARY_CSV_HEADER = "gamma,eta,statistic,se,bound,violation_sigma"

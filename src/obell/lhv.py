@@ -23,7 +23,6 @@ from .core import (
     DeterministicStrategy,
     HiddenVariableModel,
     Number,
-    beyond_weight_tol,
     validate_model,
     weight_sum,
 )
@@ -139,10 +138,8 @@ def make_epsilon_model(
         for i, (_, strat) in enumerate(base)
     ]
     model = HiddenVariableModel.build([w for w, _ in base], strategies)
+    _require_valid(model)
     denominator, units = model.weight_units
-    total = sum(units)
-    if beyond_weight_tol(total - (denominator or 1), denominator):
-        raise ValueError(f"base weights must sum to 1, got {float(weight_sum(total, denominator))!r}")
     for s, atoms in flips.items():
         if any(not 0 <= i < n for i in atoms):
             raise ValueError(f"flip_sets[{s!r}] references atoms outside 0..{n - 1}")
@@ -161,29 +158,21 @@ def make_detection_model(
 
     ``detect_sets`` maps each pair key ("ab", "ac", ..., "cc") to the atoms
     detected for that pair. The setting-independence assumption requires the
-    detected mass to agree across pairs within 1e-12.
+    detected mass to agree across pairs, which ``eta_hat`` checks.
     """
     _require_valid(base)
     missing = [k for k in PAIR_KEYS if k not in detect_sets]
     if missing:
         raise ValueError(f"detect_sets missing pairs {missing}")
     n = base.n_atoms
-    denominator, units = base.weight_units
     sets = {key: frozenset(detect_sets[key]) for key in PAIR_KEYS}
-    masses = {}
     for key, atoms in sets.items():
         if any(not 0 <= i < n for i in atoms):
             raise ValueError(f"detect_sets[{key!r}] references atoms outside 0..{n - 1}")
-        masses[key] = sum(units[i] for i in atoms)
-    reference = masses["ab"]
-    for key, mass in masses.items():
-        if beyond_weight_tol(mass - reference, denominator):
-            raise ValueError(
-                f"detection mass for pair {key!r} is {float(weight_sum(mass, denominator))!r}, "
-                f"differs from pair 'ab' mass {float(weight_sum(reference, denominator))!r}"
-            )
     detect = tuple({key: i in sets[key] for key in PAIR_KEYS} for i in range(n))
-    return dataclasses.replace(base, detect_flag=detect)
+    model = dataclasses.replace(base, detect_flag=detect)
+    model.eta_hat  # raises, naming the pair, unless the nine masses agree
+    return model
 
 
 # ---------------------------------------------------------------------------

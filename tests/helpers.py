@@ -120,12 +120,28 @@ BAD_MODEL_WIRE = [
     (("strategy_at", 0, "a_out", "a"), 1.9, "atom 0: a_out['a'] must be 1 or -1, got 1.9"),
     (("strategy_at", 0, "a_out", "a"), "1", "atom 0: a_out['a'] must be 1 or -1, got '1'"),
     (("strategy_at", 0, "a_out", "a"), True, "atom 0: a_out['a'] must be 1 or -1, got True"),
+    (("strategy_at", 0, "a_out"), {"a": 1, "b": 1}, "atom 0: a_out must assign exactly the labels ('a', 'b', 'c')"),
+    (("strategy_at", 0), {"a_out": {"a": 1, "b": 1, "c": 1}}, "atom 0: strategy_at entry has no 'b_out'"),
     (("detect_flag", 0, "ab"), "false", "atom 0: detect_flag['ab'] must be true or false, got 'false'"),
     (("anticorr_flag", 0, "a"), "no", "atom 0: anticorr_flag['a'] must be true or false, got 'no'"),
     (("anticorr_flag", 0, "a"), False, "atom 0: anticorr_flag must be true exactly where b_out = -a_out"),
 ]
 BAD_MODEL_WIRE_IDS = ["weight-1/0", "weight-10**400", "outcome-1.9", "outcome-str", "outcome-bool",
-                      "detect-str", "anticorr-str", "anticorr-mismatch"]
+                      "labels-missing", "b_out-missing", "detect-str", "anticorr-str", "anticorr-mismatch"]
+
+
+def setting_dependent_detection_model() -> HiddenVariableModel:
+    """A classical model whose detection depends on the pair: two perfectly
+    anti-correlated atoms, weighted 9/10 and 1/10. Atom 0 has A = (1, -1, -1)
+    and is detected for every pair but ac; atom 1 has A = (1, 1, 1) and is
+    detected only for ac. So pair ac has mass 1/10 and every other pair 9/10,
+    and the conditional e10 statistic reaches 3, far above any noisy bound."""
+    strategies = [
+        DeterministicStrategy(a_out=dict(zip(LABELS, a)), b_out={s: -v for s, v in zip(LABELS, a)})
+        for a in ((1, -1, -1), (1, 1, 1))
+    ]
+    detect = [{key: key != "ac" for key in PAIR_KEYS}, {key: key == "ac" for key in PAIR_KEYS}]
+    return HiddenVariableModel.build([Fraction(9, 10), Fraction(1, 10)], strategies, detect)
 
 
 def model_wire_with(where: tuple = (), value=None) -> dict:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from obell.cli import main
-from obell.core import model_to_json_str
+from obell.core import model_to_json
 
 from helpers import (
     BAD_MODEL_WIRE,
@@ -21,6 +21,7 @@ from helpers import (
     random_detection_model,
     random_perfect_model,
     run_child,
+    setting_dependent_detection_model,
 )
 
 
@@ -181,12 +182,20 @@ class TestVerifyCommand:
         rng = np.random.default_rng(21)
         model = random_detection_model(rng, 10, 9)
         path = tmp_path / "model.json"
-        path.write_text(model_to_json_str(model))
+        path.write_text(json.dumps(model_to_json(model)))
         result = invoke(runner, "verify", "--model", str(path), "--json")
         assert result.exit_code == 0
         payload = json.loads(result.output)
         names = [c["name"] for c in payload["checks"]]
         assert any("conditional" in n for n in names)
+
+    def test_setting_dependent_detection_is_usage_error(self, runner, tmp_path):
+        # a classical model once reported as a violation: achieved 3, bound 1.444444444
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_json(setting_dependent_detection_model())))
+        result = invoke(runner, "verify", "--model", str(path))
+        assert result.exit_code == 2
+        assert "invalid model: detection mass for pair 'ac'" in result.output
 
     def test_invalid_model_file_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -195,7 +204,7 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
     def test_non_object_detect_flag_is_usage_error(self, runner, tmp_path):
-        wire = json.loads(model_to_json_str(random_detection_model(np.random.default_rng(5), 4, 3)))
+        wire = model_to_json(random_detection_model(np.random.default_rng(5), 4, 3))
         wire["detect_flag"] = [5]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(wire))
@@ -277,7 +286,7 @@ class TestSimulateCommand:
     def test_lhv_model_config(self, runner, tmp_path):
         rng = np.random.default_rng(31)
         model = random_perfect_model(rng)
-        (tmp_path / "model.json").write_text(model_to_json_str(model))
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(model)))
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps(
@@ -288,6 +297,17 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["statistic"] <= 1 + 3 * payload["statistic_se"]
+
+    def test_setting_dependent_detection_is_usage_error(self, runner, tmp_path):
+        # a classical model once reported as violation_sigma=inf
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(setting_dependent_detection_model())))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": "lhv", "model": "model.json", "fair_sampling": False,
+                                      "pattern": "e10", "trials_per_pair": 100000}))
+        result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert result.exit_code == 2
+        assert "detection mass for pair 'ac'" in result.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where, value, message", BAD_MODEL_WIRE, ids=BAD_MODEL_WIRE_IDS)
     def test_bad_model_wire_is_usage_error(self, runner, tmp_path, where, value, message):
@@ -319,7 +339,7 @@ class TestSimulateCommand:
 
     def test_non_finite_model_weight_is_usage_error(self, runner, tmp_path):
         rng = np.random.default_rng(31)
-        wire = json.loads(model_to_json_str(random_perfect_model(rng)))
+        wire = model_to_json(random_perfect_model(rng))
         wire["weights"][0] = math.nan
         (tmp_path / "model.json").write_text(json.dumps(wire))
         config = tmp_path / "config.json"
@@ -452,7 +472,7 @@ class TestSweepCommand:
 
     def test_lhv_config_is_usage_error(self, runner, tmp_path):
         model = random_perfect_model(np.random.default_rng(31))
-        (tmp_path / "model.json").write_text(model_to_json_str(model))
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(model)))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"source": "lhv", "model": "model.json"}))
         result = invoke(
@@ -556,7 +576,7 @@ class TestGoldenBytes:
         """A 6-atom model with both defects: epsilon = 1/6, eta = 5/6."""
         model = random_combined_model(np.random.default_rng(60), 6, 1, 5)
         path = tmp_path / "model.json"
-        path.write_text(model_to_json_str(model))
+        path.write_text(json.dumps(model_to_json(model)))
         return path
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from obell.core import (
     LABELS,
+    PAIR_KEYS,
     CorrelationTriple,
     DeterministicStrategy,
     HiddenVariableModel,
@@ -17,7 +18,7 @@ from obell.core import (
     SettingTriple,
     make_setting,
     model_from_json_str,
-    model_to_json_str,
+    model_to_json,
     setting_triple_from_json,
     validate_model,
 )
@@ -29,6 +30,7 @@ from helpers import (
     model_wire_with,
     random_epsilon_model,
     random_perfect_model,
+    setting_dependent_detection_model,
 )
 
 
@@ -80,10 +82,16 @@ class TestDomainTypes:
             NoiseParameters(epsilon=0.0, eta=0.0)
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError, match="not \\+-1"):
+        with pytest.raises(ValueError, match=re.escape("a_out['b'] must be 1 or -1, got 0")):
             DeterministicStrategy(a_out={"a": 1, "b": 0, "c": 1}, b_out={"a": -1, "b": -1, "c": -1})
         with pytest.raises(ValueError, match="labels"):
             DeterministicStrategy(a_out={"a": 1, "b": 1}, b_out={"a": -1, "b": -1, "c": -1})
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+    def test_outcome_must_be_the_int_one_or_minus_one(self, value):
+        # both were once accepted, since True == 1.0 == 1
+        with pytest.raises(ValueError, match=re.escape(f"b_out['c'] must be 1 or -1, got {value!r}")):
+            DeterministicStrategy(a_out={"a": 1, "b": 1, "c": 1}, b_out={"a": -1, "b": -1, "c": value})
 
     def test_setting_triple_coincident_legal(self):
         s = make_setting((0, 0, 1))
@@ -152,10 +160,27 @@ class TestValidateModel:
             [1.0, 0.0],
             [_strategy((1, 1, 1), (-1, -1, -1)), _strategy((1, 1, 1), (-1, -1, -1))],
         )
-        wire = json.loads(model_to_json_str(m))
+        wire = model_to_json(m)
         wire["weights"] = [True, False]
         parsed = model_from_json_str(json.dumps(wire))
         assert any("is a bool" in v for v in validate_model(parsed))
+
+
+class TestEtaHat:
+    def test_setting_dependent_detection_names_the_pair(self):
+        m = setting_dependent_detection_model()
+        assert validate_model(m) == []  # the detection rule is not a validate_model rule
+        with pytest.raises(ValueError, match="pair 'ac' is 0.1, differs from pair 'ab' mass 0.9"):
+            m.eta_hat
+
+    def test_equal_masses_give_the_ab_mass_once(self):
+        m = HiddenVariableModel.build(
+            [Fraction(1, 3), Fraction(2, 3)],
+            [_strategy((1, 1, 1), (-1, -1, -1))] * 2,
+            [{key: True for key in PAIR_KEYS}, {key: False for key in PAIR_KEYS}],
+        )
+        assert m.eta_hat == pytest.approx(1 / 3)
+        assert "eta_hat" in vars(m)  # cached, like weight_units
 
 
 class TestJsonRoundTrip:
@@ -163,7 +188,7 @@ class TestJsonRoundTrip:
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = random_epsilon_model(rng, 0.4)
-            assert model_from_json_str(model_to_json_str(m)) == m
+            assert model_from_json_str(json.dumps(model_to_json(m))) == m
 
     def test_fraction_weights_round_trip_exact(self):
         base = [
@@ -171,7 +196,7 @@ class TestJsonRoundTrip:
             (Fraction(2, 3), _strategy((-1, -1, -1), (1, 1, 1))),
         ]
         m = make_epsilon_model(base, {}, 0)
-        back = model_from_json_str(model_to_json_str(m))
+        back = model_from_json_str(json.dumps(model_to_json(m)))
         assert back == m
         assert back.weights[0] == Fraction(1, 3)
 
@@ -205,7 +230,7 @@ class TestJsonRoundTrip:
     )
     def test_anticorr_flag_count_must_match(self, flags, needle):
         m = HiddenVariableModel.build([1.0], [_strategy((1, 1, 1), (1, -1, -1))])
-        wire = json.loads(model_to_json_str(m))
+        wire = model_to_json(m)
         assert wire["anticorr_flag"] == [{"a": False, "b": True, "c": True}]
         wire["anticorr_flag"] = flags
         with pytest.raises(ValueError, match=re.escape(needle)):
@@ -224,7 +249,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("field", ["detect_flag", "anticorr_flag", "a_out"])
     def test_non_object_entries_name_the_field(self, field):
         m = HiddenVariableModel.build([1.0], [_strategy((1, 1, 1), (-1, -1, -1))])
-        wire = json.loads(model_to_json_str(m))
+        wire = model_to_json(m)
         if field == "a_out":
             wire["strategy_at"][0]["a_out"] = 5
         else:

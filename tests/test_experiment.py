@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from obell.bounds import theorem3_bound
 from obell.cli import main
-from obell.core import SettingTriple, make_setting
+from obell.core import PAIR_KEYS, HiddenVariableModel, SettingTriple, make_setting
 from obell.experiment import (
     ExperimentSpec,
     cell_seed,
@@ -18,9 +18,15 @@ from obell.experiment import (
     summary_csv_row,
     sweep,
 )
+from obell.lhv import make_detection_model
 from obell.quantum import OB_SETTINGS, QUANTUM_CHSH_MAX, sample_correlated_outcomes
 
-from helpers import random_detection_model, random_perfect_model
+from helpers import (
+    random_detection_model,
+    random_perfect_model,
+    random_strategies,
+    setting_dependent_detection_model,
+)
 
 def quantum_spec(**kwargs):
     defaults = dict(
@@ -118,18 +124,25 @@ class TestRunExperiment:
         assert rms_error(1_000_000) < rms_error(10_000)
 
     def test_zero_detection_error_names_pair(self):
-        rng = np.random.default_rng(2)
-        model = random_detection_model(rng, 4, 4)
-        # force an undetectable pair
-        detect = tuple(
-            {k: (False if k == "ac" else v) for k, v in d.items()} for d in model.detect_flag
+        # equal pair masses of 1/1000 and one trial per pair: pair (a, b)
+        # draws no detected trial at this seed
+        base = HiddenVariableModel.build(
+            [Fraction(1, 1000), Fraction(999, 1000)], random_strategies(np.random.default_rng(2), 2)
         )
-        model = replace(model, detect_flag=detect)
+        model = make_detection_model(base, {key: {0} for key in PAIR_KEYS})
         spec = quantum_spec(
-            source="lhv", model=model, fair_sampling=False, trials_per_pair=100, pattern="e10"
+            source="lhv", model=model, fair_sampling=False, trials_per_pair=1, pattern="e10"
         )
-        with pytest.raises(RuntimeError, match="'a', 'c'"):
+        with pytest.raises(RuntimeError, match="'a', 'b'"):
             run_experiment(spec)
+
+    def test_setting_dependent_detection_refused_unless_fair(self):
+        model = setting_dependent_detection_model()
+        with pytest.raises(ValueError, match="pair 'ac'"):
+            quantum_spec(source="lhv", model=model, fair_sampling=False, pattern="e10")
+        # fair sampling never reads the detection flags
+        result = run_experiment(quantum_spec(source="lhv", model=model, pattern="e10", trials_per_pair=1000))
+        assert result.bound_used == 1.0
 
     def test_white_noise_scales_statistic(self):
         result = run_experiment(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from helpers import (
     reference_conditional_correlation,
     reference_correlation,
     reference_ob_statistic,
+    setting_dependent_detection_model,
     uniform_fraction_weights,
 )
 
@@ -206,6 +208,21 @@ class TestEpsilonModel:
         with pytest.raises(ValueError, match="above declared epsilon"):
             make_epsilon_model(base, {"a": {1}}, 0.5)
 
+    @pytest.mark.parametrize(
+        "weights, needle",
+        [
+            ([math.nan, 1.0], "atom 0: non-finite weight nan"),
+            ([-0.5, 1.5], "atom 0: negative weight -0.5"),
+            ([0.5, 0.25], "weights: normalization broken, sum is 0.75"),
+        ],
+        ids=["nan", "negative", "total"],
+    )
+    def test_bad_base_weight_raises_validate_model_diagnostics(self, weights, needle):
+        # nan and negative weights once gave a model
+        base = list(zip(weights, random_strategies(np.random.default_rng(4), 2)))
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            make_epsilon_model(base, {}, 0)
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.25, 0.5])
     def test_randomized_instances_respect_theorem2(self, epsilon):
         rng = np.random.default_rng(int(epsilon * 100))
@@ -271,6 +288,13 @@ class TestDetectionModel:
         sets = {k: set(range(4)) for k in PAIR_KEYS}
         sets["bc"] = {0, 1}
         with pytest.raises(ValueError, match="'bc'"):
+            make_detection_model(base, sets)
+
+    def test_setting_dependent_sets_rejected_naming_pair(self):
+        m = setting_dependent_detection_model()
+        sets = {key: {i for i, d in enumerate(m.detect_flag) if d[key]} for key in PAIR_KEYS}
+        base = HiddenVariableModel.build(m.weights, m.strategy_at)
+        with pytest.raises(ValueError, match="pair 'ac' is 0.1, differs from pair 'ab' mass 0.9"):
             make_detection_model(base, sets)
 
     def test_adversarial_placement_respects_theorem3(self):
