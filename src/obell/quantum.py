@@ -19,8 +19,10 @@ QUANTUM_CHSH_MAX = 2 * math.sqrt(2)
 
 
 def singlet_correlation(a: MeasurementSetting, b: MeasurementSetting) -> float:
-    """Correlation of spin projections along a and b for the singlet state."""
-    return -a.dot(b)
+    """Correlation of spin projections along a and b for the singlet state:
+    -a.b, clamped into [-1, 1], since settings are unit length only within
+    ``UNIT_TOL`` and a.b may leave [-1, 1] by about 2e-12."""
+    return min(max(-a.dot(b), -1.0), 1.0)
 
 
 def ob_statistic(t: CorrelationTriple) -> float:

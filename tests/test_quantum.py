@@ -47,10 +47,16 @@ class TestSingletCorrelation:
     def test_symmetric(self, a, b):
         assert singlet_correlation(a, b) == singlet_correlation(b, a)
 
-    @given(exact_unit_vectors)
+    @given(unit_vectors)
     def test_self_correlation(self, a):
-        # a setting may be 1e-12 off unit length, so a.a may be 2e-12 off 1
         assert singlet_correlation(a, a) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_clamped_at_unit_tolerance(self):
+        # norm within UNIT_TOL of 1, so make_setting keeps it: a.a = 1 + 2e-12
+        a = make_setting((0.9999999999999999, 1e-6, 1e-6))
+        assert a.dot(a) > 1 + 1e-12
+        assert singlet_correlation(a, a) == -1.0
+        assert singlet_correlations(SettingTriple(a, a, a)) == CorrelationTriple(-1.0, -1.0, -1.0)
 
 
 class TestObStatistic:
@@ -170,11 +176,12 @@ class TestSampler:
         assert np.all(alpha == -beta)
 
     def test_coincident_settings_at_unit_tolerance(self):
-        # make_setting passes norms within 1e-12 through, so a.a can exceed 1
+        # make_setting passes norms within 1e-12 through, so a.a can exceed 1;
+        # singlet_correlation clamps, so the sampler gets -a.a itself
         a = make_setting((1.0000000000009, 0, 0))
         assert a.dot(a) > 1 + 1e-12
         rng = np.random.default_rng(5)
-        alpha, beta = sample_correlated_outcomes(singlet_correlation(a, a), rng, size=2000)
+        alpha, beta = sample_correlated_outcomes(-a.dot(a), rng, size=2000)
         assert np.all(alpha == -beta)
 
     def test_orthogonal_settings_equiprobable(self):
