@@ -236,7 +236,7 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
             raise click.UsageError("invalid model: " + "; ".join(violations))
         try:
             eps_hat, eta_hat = model.epsilon_hat, model.eta_hat
-        except ValueError as exc:  # detection that depends on the pair
+        except ValueError as exc:  # detection that depends on the pair, or detects nothing
             raise click.UsageError(f"invalid model: {exc}")
         delta = float(lhv.model_ob_statistic(model, pattern="e7"))
         bound2 = bounds_mod.theorem2_bound(eps_hat)
@@ -246,14 +246,8 @@ def cmd_verify(perfect, unconstrained, epsilons, etas, atoms, model_path, as_jso
         if eta_hat < 1 - 1e-12:
             delta_t = float(lhv.model_ob_statistic(model, pattern="e10", conditional=True))
             bound4 = bounds_mod.theorem4_bound(NoiseParameters(epsilon=eps_hat, eta=eta_hat))
-            checks.append(
-                (
-                    f"model file conditional (pattern e10, eta_hat={_fmt(eta_hat)})",
-                    _fmt(delta_t),
-                    _fmt(bound4),
-                    delta_t <= bound4 + 1e-9,
-                )
-            )
+            name = f"model file conditional (pattern e10, eta_hat={_fmt(eta_hat)})"
+            checks.append((name, _fmt(delta_t), _fmt(bound4), delta_t <= bound4 + 1e-9))
         if not all(c[3] for c in checks):
             witness = json.loads(text)
 

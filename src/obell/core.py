@@ -195,7 +195,7 @@ class HiddenVariableModel:
         (a, b) (a float sum, atom by atom), computed once per model. The noisy
         bounds assume setting-independent detection, so a ``ValueError`` names
         any pair whose mass differs, exactly over ``weight_units``, by more
-        than ``WEIGHT_TOL``."""
+        than ``WEIGHT_TOL``, or says that no atom is ever detected."""
         denominator, units = self.weight_units
         masses = {key: sum(u for u, d in zip(units, self.detect_flag) if d[key]) for key in PAIR_KEYS}
         for key, mass in masses.items():
@@ -205,6 +205,8 @@ class HiddenVariableModel:
                     f"differs from pair 'ab' mass {float(weight_sum(masses['ab'], denominator))!r}; "
                     "the noisy bounds assume detection that does not depend on the settings"
                 )
+        if masses["ab"] <= 0:
+            raise ValueError("detection mass is 0 for every pair: no atom is ever detected")
         return sum(float(w) for w, d in zip(self.weights, self.detect_flag) if d["ab"])
 
     @classmethod
@@ -329,25 +331,28 @@ def model_to_json(m: HiddenVariableModel) -> dict:
     }
 
 
-def _json_entries(value, field: str, flags: bool = False) -> dict:
-    """A JSON object; with ``flags``, each of its values a JSON boolean.
-    Outcome values are left to ``DeterministicStrategy``."""
+def _flags_from_json(value, field: str) -> dict:
+    """A JSON object whose values are JSON booleans."""
     if not isinstance(value, dict):
         raise TypeError(f"{field} entries must be objects, got {value!r}")
-    for k, v in value.items() if flags else ():
+    for k, v in value.items():
         if type(v) is not bool:
             raise ValueError(f"{field}[{k!r}] must be true or false, got {v!r}")
     return dict(value)
 
 
 def _strategy_from_json(entry, i: int) -> DeterministicStrategy:
-    """One ``strategy_at`` entry; the strategy's own errors gain the atom."""
+    """One ``strategy_at`` entry: two JSON objects, whose outcomes
+    ``DeterministicStrategy`` checks; its errors gain the atom."""
     try:
-        return DeterministicStrategy(
-            **{side: _json_entries(entry[side], f"atom {i}: {side}") for side in ("a_out", "b_out")}
-        )
+        sides = {side: entry[side] for side in ("a_out", "b_out")}
     except KeyError as exc:
         raise ValueError(f"atom {i}: strategy_at entry has no {exc}") from None
+    for side, out in sides.items():
+        if not isinstance(out, dict):
+            raise TypeError(f"atom {i}: {side} entries must be objects, got {out!r}")
+    try:
+        return DeterministicStrategy(**{side: dict(out) for side, out in sides.items()})
     except ValueError as exc:
         raise ValueError(f"atom {i}: {exc}") from None
 
@@ -361,7 +366,7 @@ def model_from_json(obj: Mapping) -> HiddenVariableModel:
         weights = tuple(_weight_from_json(w, f"weights[{i}]") for i, w in enumerate(obj["weights"]))
         strategies = tuple(_strategy_from_json(s, i) for i, s in enumerate(obj["strategy_at"]))
         anticorr, detect = (
-            tuple(_json_entries(f, f"atom {i}: {field}", flags=True) for i, f in enumerate(obj[field]))
+            tuple(_flags_from_json(f, f"atom {i}: {field}") for i, f in enumerate(obj[field]))
             for field in ("anticorr_flag", "detect_flag")
         )
     except (KeyError, TypeError) as exc:

@@ -144,6 +144,22 @@ def setting_dependent_detection_model() -> HiddenVariableModel:
     return HiddenVariableModel.build([Fraction(9, 10), Fraction(1, 10)], strategies, detect)
 
 
+def undetected_model() -> HiddenVariableModel:
+    """The atoms of :func:`setting_dependent_detection_model`, detected for
+    no pair: the nine masses agree, at 0."""
+    m = setting_dependent_detection_model()
+    return HiddenVariableModel.build(m.weights, m.strategy_at, [{key: False for key in PAIR_KEYS}] * m.n_atoms)
+
+
+#: Models whose detection the noisy bounds cannot take, each with the
+#: message that refuses it.
+BAD_DETECTION = [
+    (setting_dependent_detection_model, "detection mass for pair 'ac' is 0.1, differs from pair 'ab' mass 0.9"),
+    (undetected_model, "detection mass is 0 for every pair: no atom is ever detected"),
+]
+BAD_DETECTION_IDS = ["pair-dependent", "undetected"]
+
+
 def model_wire_with(where: tuple = (), value=None) -> dict:
     """The wire dict of a valid two-atom model, with the entry at ``where``
     (a path of keys and indices) replaced by ``value``."""

@@ -14,6 +14,8 @@ from obell.cli import main
 from obell.core import model_to_json
 
 from helpers import (
+    BAD_DETECTION,
+    BAD_DETECTION_IDS,
     BAD_MODEL_WIRE,
     BAD_MODEL_WIRE_IDS,
     model_wire_with,
@@ -21,7 +23,6 @@ from helpers import (
     random_detection_model,
     random_perfect_model,
     run_child,
-    setting_dependent_detection_model,
 )
 
 
@@ -189,13 +190,15 @@ class TestVerifyCommand:
         names = [c["name"] for c in payload["checks"]]
         assert any("conditional" in n for n in names)
 
-    def test_setting_dependent_detection_is_usage_error(self, runner, tmp_path):
-        # a classical model once reported as a violation: achieved 3, bound 1.444444444
+    @pytest.mark.parametrize("model, message", BAD_DETECTION, ids=BAD_DETECTION_IDS)
+    def test_bad_detection_is_usage_error(self, runner, tmp_path, model, message):
+        # pair-dependent: a classical model once reported as a violation,
+        # achieved 3, bound 1.444444444; undetected: once a traceback
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_json(setting_dependent_detection_model())))
+        path.write_text(json.dumps(model_to_json(model())))
         result = invoke(runner, "verify", "--model", str(path))
         assert result.exit_code == 2
-        assert "invalid model: detection mass for pair 'ac'" in result.output
+        assert "invalid model: " + message in result.output
 
     def test_invalid_model_file_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -298,15 +301,17 @@ class TestSimulateCommand:
         payload = json.loads(result.output)
         assert payload["statistic"] <= 1 + 3 * payload["statistic_se"]
 
-    def test_setting_dependent_detection_is_usage_error(self, runner, tmp_path):
-        # a classical model once reported as violation_sigma=inf
-        (tmp_path / "model.json").write_text(json.dumps(model_to_json(setting_dependent_detection_model())))
+    @pytest.mark.parametrize("model, message", BAD_DETECTION, ids=BAD_DETECTION_IDS)
+    def test_bad_detection_is_usage_error(self, runner, tmp_path, model, message):
+        # pair-dependent: a classical model once reported as
+        # violation_sigma=inf; undetected: once exit 1, "no detected trials"
+        (tmp_path / "model.json").write_text(json.dumps(model_to_json(model())))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"source": "lhv", "model": "model.json", "fair_sampling": False,
                                       "pattern": "e10", "trials_per_pair": 100000}))
         result = invoke(runner, "simulate", str(config), "--out", str(tmp_path / "o"))
         assert result.exit_code == 2
-        assert "detection mass for pair 'ac'" in result.output
+        assert message in result.output
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where, value, message", BAD_MODEL_WIRE, ids=BAD_MODEL_WIRE_IDS)

@@ -31,6 +31,7 @@ from helpers import (
     random_epsilon_model,
     random_perfect_model,
     setting_dependent_detection_model,
+    undetected_model,
 )
 
 
@@ -171,6 +172,12 @@ class TestEtaHat:
         m = setting_dependent_detection_model()
         assert validate_model(m) == []  # the detection rule is not a validate_model rule
         with pytest.raises(ValueError, match="pair 'ac' is 0.1, differs from pair 'ab' mass 0.9"):
+            m.eta_hat
+
+    def test_no_detection_is_refused(self):
+        m = undetected_model()
+        assert validate_model(m) == []
+        with pytest.raises(ValueError, match="no atom is ever detected"):
             m.eta_hat
 
     def test_equal_masses_give_the_ab_mass_once(self):
