@@ -85,36 +85,42 @@ class FeasibilityCell:
     feasible: bool
 
 
-def _grid_values(lo: float, hi: float, step: float) -> list[float]:
+#: The most cells :func:`feasibility_grid` builds.
+MAX_GRID_CELLS = 10**6
+
+
+def _grid_size(lo: float, hi: float, step: float) -> float:
+    """How many of lo, lo + step, lo + 2*step, ... lie at or below hi (within
+    1e-12), counted arithmetically; ``inf`` when beyond float range."""
     if step <= 0:
         raise ValueError("step must be positive")
     if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    values = []
-    i = 0
-    while True:
-        v = lo + i * step
-        if v > hi + 1e-12:
-            break
-        values.append(min(v, hi))
-        i += 1
-    return values
+    return (hi - lo + 1e-12) // step + 1
+
+
+def _grid_values(lo: float, hi: float, step: float) -> list[float]:
+    return [min(lo + i * step, hi) for i in range(int(_grid_size(lo, hi, step)))]
 
 
 def feasibility_grid(
     gamma_range: tuple[float, float], eta_range: tuple[float, float], step: float
 ) -> list[FeasibilityCell]:
     """Row-major (gamma outer, eta inner) grid of combined bounds and
-    feasibility flags."""
+    feasibility flags, without eta = 0. A grid of more than
+    ``MAX_GRID_CELLS`` cells is refused before any is built."""
     for name, (lo, hi) in (("gamma", gamma_range), ("eta", eta_range)):
         if not (0 <= lo <= 1 and 0 <= hi <= 1):
             raise ValueError(f"{name} range must lie within [0, 1]")
+    size = _grid_size(*gamma_range, step) * (_grid_size(*eta_range, step) - (eta_range[0] == 0))
+    if not size:
+        raise ValueError("empty grid")
+    if size > MAX_GRID_CELLS:
+        raise ValueError(f"--step {step!r} would build {size:.0f} cells, above the limit of {MAX_GRID_CELLS}")
     gammas = _grid_values(*gamma_range, step)
     etas = [e for e in _grid_values(*eta_range, step) if e > 0]
-    if not gammas or not etas:
-        raise ValueError("empty grid")
     cells = []
     for g in gammas:
         for e in etas:

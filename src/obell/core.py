@@ -9,17 +9,21 @@ common denominator computed once per model, and each sum becomes one
 ``Fraction`` at the end: the same exact values as ``Fraction`` sums, for less.
 A model stores only what it cannot derive: whether an atom is perfectly
 anti-correlated at a setting is read off its strategy. Each model rule has
-one home: outcomes in ``DeterministicStrategy``, weights in ``validate_model``,
-setting-independent detection in ``HiddenVariableModel.eta_hat``. The model
-JSON reader is strict and checks only what the wire alone can get wrong.
+one home: outcomes in ``_strategy_index``, weights in the diagnostics a
+model computes once for :func:`validate_model`, and setting-independent
+detection in ``HiddenVariableModel.eta_hat``. The strict model JSON reader
+checks only what the wire alone can get wrong, and gives every atom one of
+the 64 shared, read-only strategies of :func:`strategy_table`.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 LABELS = ("a", "b", "c")
@@ -139,16 +143,36 @@ class DeterministicStrategy:
     b_out: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        for side, out in (("a_out", self.a_out), ("b_out", self.b_out)):
-            if out.keys() != _LABEL_SET:
-                raise ValueError(f"{side} must assign exactly the labels {LABELS}")
-            for label, value in out.items():
-                if type(value) is not int or value not in (1, -1):
-                    raise ValueError(f"{side}[{label!r}] must be 1 or -1, got {value!r}")
+        _strategy_index(self.a_out, self.b_out)
 
     def product(self, s: str, t: str) -> int:
         """The outcome product A_s * B_t."""
         return self.a_out[s] * self.b_out[t]
+
+
+def _strategy_index(a_out: Mapping[str, int], b_out: Mapping[str, int]) -> int:
+    """The outcome rule: each side assigns exactly the labels a, b and c, each
+    the ``int`` 1 or -1 (not ``True`` or ``1.0``). Returns the strategy's entry
+    in :func:`strategy_table`: its six outcomes as bits, A_a first, 1 for -1."""
+    index = 0
+    for side, out in (("a_out", a_out), ("b_out", b_out)):
+        if out.keys() != _LABEL_SET:
+            raise ValueError(f"{side} must assign exactly the labels {LABELS}")
+        for label, value in out.items():
+            if type(value) is not int or value not in (1, -1):
+                raise ValueError(f"{side}[{label!r}] must be 1 or -1, got {value!r}")
+        index = 8 * index + 4 * (out["a"] < 0) + 2 * (out["b"] < 0) + (out["c"] < 0)
+    return index
+
+
+@functools.cache
+def strategy_table() -> tuple[tuple[DeterministicStrategy, Mapping[str, bool]], ...]:
+    """The 64 deterministic strategies, entry i with index i (lexicographic
+    order, +1 before -1), each with its ``anticorr_flag``. Built on first use
+    and shared by every caller, so every map in it is read-only."""
+    halves = [MappingProxyType(dict(zip(LABELS, bits))) for bits in itertools.product((1, -1), repeat=3)]
+    strategies = [DeterministicStrategy(a, b) for a in halves for b in halves]
+    return tuple(zip(strategies, map(MappingProxyType, _anticorr_flags(strategies))))
 
 
 @dataclass(frozen=True)
@@ -178,6 +202,33 @@ class HiddenVariableModel:
             return None, self.weights
         d = math.lcm(*(w.denominator for w in self.weights))
         return d, tuple(w.numerator * (d // w.denominator) for w in self.weights)
+
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        """:func:`validate_model`'s diagnostics, computed once per model."""
+        violations: list[str] = []
+        n = len(self.weights)
+        if not (len(self.strategy_at) == len(self.detect_flag) == n):
+            lengths = (n, len(self.strategy_at), len(self.detect_flag))
+            return ("field lengths disagree: weights=%d strategy_at=%d detect_flag=%d" % lengths,)
+
+        denominator, units = self.weight_units
+        total = 0
+        for i, (w, unit) in enumerate(zip(self.weights, units)):
+            if isinstance(w, bool):
+                violations.append(f"atom {i}: weight {w!r} is a bool, not a number")
+            elif isinstance(w, float) and not math.isfinite(w):
+                violations.append(f"atom {i}: non-finite weight {w!r}")
+            elif unit < 0:
+                violations.append(f"atom {i}: negative weight {w!r}")
+            total += unit
+        if beyond_weight_tol(total - (denominator or 1), denominator):
+            violations.append(f"weights: normalization broken, sum is {float(weight_sum(total, denominator))!r}")
+
+        for i, dflag in enumerate(self.detect_flag):
+            if dflag.keys() != _PAIR_KEY_SET:
+                violations.append(f"atom {i}: detect_flag keys must cover all 9 pairs")
+        return tuple(violations)
 
     @property
     def epsilon_hat(self) -> float:
@@ -246,31 +297,10 @@ def validate_model(m: HiddenVariableModel) -> list[str]:
     """Check every model invariant; returns diagnostics instead of raising.
 
     An empty list means the model is valid. Each violation names the atom
-    and the offending field.
+    and the offending field. The model computes them once; each call
+    returns a new list.
     """
-    violations: list[str] = []
-    n = len(m.weights)
-    if not (len(m.strategy_at) == len(m.detect_flag) == n):
-        lengths = (n, len(m.strategy_at), len(m.detect_flag))
-        return ["field lengths disagree: weights=%d strategy_at=%d detect_flag=%d" % lengths]
-
-    denominator, units = m.weight_units
-    total = 0
-    for i, (w, unit) in enumerate(zip(m.weights, units)):
-        if isinstance(w, bool):
-            violations.append(f"atom {i}: weight {w!r} is a bool, not a number")
-        elif isinstance(w, float) and not math.isfinite(w):
-            violations.append(f"atom {i}: non-finite weight {w!r}")
-        elif unit < 0:
-            violations.append(f"atom {i}: negative weight {w!r}")
-        total += unit
-    if beyond_weight_tol(total - (denominator or 1), denominator):
-        violations.append(f"weights: normalization broken, sum is {float(weight_sum(total, denominator))!r}")
-
-    for i, dflag in enumerate(m.detect_flag):
-        if dflag.keys() != _PAIR_KEY_SET:
-            violations.append(f"atom {i}: detect_flag keys must cover all 9 pairs")
-    return violations
+    return list(m._diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +313,19 @@ def _number_to_json(x: Number):
     return float(x)
 
 
-def _weight_from_json(x, field: str) -> Number:
+def _weight_from_json(x, i: int) -> Number:
+    """Wire weight ``i``: a number, or a string read as ``Fraction(x)`` reads
+    it, by a shortcut when it is two runs of ASCII digits around a "/"."""
     if isinstance(x, bool):
         return x  # kept as is, so validate_model can name the atom
     try:
+        if type(x) is str:
+            p, slash, q = x.partition("/")
+            if slash and p.isdigit() and q.isdigit() and x.isascii():
+                return Fraction(int(p), int(q))
         return float(x) if isinstance(x, (int, float)) else Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):  # "1/0", 10**400
-        raise ValueError(f'{field} must be a number or a "p/q" string, got {x!r}') from None
+        raise ValueError(f'weights[{i}] must be a number or a "p/q" string, got {x!r}') from None
 
 
 def setting_from_json(value, field: str) -> MeasurementSetting:
@@ -331,58 +367,55 @@ def model_to_json(m: HiddenVariableModel) -> dict:
     }
 
 
-def _flags_from_json(value, field: str) -> dict:
-    """A JSON object whose values are JSON booleans."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{field} entries must be objects, got {value!r}")
-    for k, v in value.items():
-        if type(v) is not bool:
-            raise ValueError(f"{field}[{k!r}] must be true or false, got {v!r}")
-    return dict(value)
+def _flags_from_json(entries, field: str) -> tuple[dict, ...]:
+    """A flag field's entries: JSON objects whose values are JSON booleans."""
+    entries = tuple(entries)
+    for i, value in enumerate(entries):
+        if not isinstance(value, dict):
+            raise TypeError(f"atom {i}: {field} entries must be objects, got {value!r}")
+        for k, v in value.items():
+            if type(v) is not bool:
+                raise ValueError(f"atom {i}: {field}[{k!r}] must be true or false, got {v!r}")
+    return entries
 
 
-def _strategy_from_json(entry, i: int) -> DeterministicStrategy:
-    """One ``strategy_at`` entry: two JSON objects, whose outcomes
-    ``DeterministicStrategy`` checks; its errors gain the atom."""
+def _index_from_json(entry, i: int) -> int:
+    """One ``strategy_at`` entry's index: two JSON objects, whose outcomes
+    ``_strategy_index`` checks; its errors gain the atom."""
     try:
-        sides = {side: entry[side] for side in ("a_out", "b_out")}
+        a_out, b_out = entry["a_out"], entry["b_out"]
     except KeyError as exc:
         raise ValueError(f"atom {i}: strategy_at entry has no {exc}") from None
-    for side, out in sides.items():
+    for side, out in (("a_out", a_out), ("b_out", b_out)):
         if not isinstance(out, dict):
             raise TypeError(f"atom {i}: {side} entries must be objects, got {out!r}")
     try:
-        return DeterministicStrategy(**{side: dict(out) for side, out in sides.items()})
+        return _strategy_index(a_out, b_out)
     except ValueError as exc:
         raise ValueError(f"atom {i}: {exc}") from None
 
 
-def model_from_json(obj: Mapping) -> HiddenVariableModel:
+def model_from_json_str(text: str) -> HiddenVariableModel:
     """Read a model from its wire form, coercing nothing: an outcome is the
-    integer 1 or -1 and a flag a JSON boolean. The wire's ``anticorr_flag``
-    carries no information of its own, so it must be true exactly where
-    b_out = -a_out. Every error is a ``ValueError`` that names the field."""
+    integer 1 or -1 and a flag a JSON boolean. Each atom gets its shared
+    :func:`strategy_table` entry, whose flags the wire's ``anticorr_flag``
+    must equal, and keeps its ``detect_flag`` object uncopied. Every error
+    is a ``ValueError`` that names the field."""
+    obj = json.loads(text)
+    table = strategy_table()
     try:
-        weights = tuple(_weight_from_json(w, f"weights[{i}]") for i, w in enumerate(obj["weights"]))
-        strategies = tuple(_strategy_from_json(s, i) for i, s in enumerate(obj["strategy_at"]))
-        anticorr, detect = (
-            tuple(_flags_from_json(f, f"atom {i}: {field}") for i, f in enumerate(obj[field]))
-            for field in ("anticorr_flag", "detect_flag")
-        )
+        weights = tuple(_weight_from_json(w, i) for i, w in enumerate(obj["weights"]))
+        entries = [table[_index_from_json(entry, i)] for i, entry in enumerate(obj["strategy_at"])]
+        anticorr, detect = (_flags_from_json(obj[field], field) for field in ("anticorr_flag", "detect_flag"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hidden-variable model JSON: {exc}") from exc
-    derived = _anticorr_flags(strategies)
-    if len(anticorr) != len(derived):
-        first, n = min(len(anticorr), len(derived)), len(derived)
+    if len(anticorr) != len(entries):
+        first, n = min(len(anticorr), len(entries)), len(entries)
         raise ValueError(f"atom {first}: anticorr_flag has {len(anticorr)} entries for {n} strategies")
-    for i, (flag, want) in enumerate(zip(anticorr, derived)):
+    for i, (flag, (_, want)) in enumerate(zip(anticorr, entries)):
         if flag != want:
             raise ValueError(
                 f"atom {i}: anticorr_flag must be true exactly where b_out = -a_out: "
                 f"expected {want}, got {flag}"
             )
-    return HiddenVariableModel(weights=weights, strategy_at=strategies, detect_flag=detect)
-
-
-def model_from_json_str(text: str) -> HiddenVariableModel:
-    return model_from_json(json.loads(text))
+    return HiddenVariableModel(weights=weights, strategy_at=tuple(st for st, _ in entries), detect_flag=detect)

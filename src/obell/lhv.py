@@ -23,6 +23,7 @@ from .core import (
     DeterministicStrategy,
     HiddenVariableModel,
     Number,
+    strategy_table,
     validate_model,
     weight_sum,
 )
@@ -59,14 +60,13 @@ def lhv_conditional_correlation(m: HiddenVariableModel, s: str, t: str) -> Numbe
     _require_valid(m)
     key = s + t
     denominator, units = m.weight_units
-    mass = sum(w for w, d in zip(units, m.detect_flag) if d[key])
+    mass = num = 0
+    for w, strat, d in zip(units, m.strategy_at, m.detect_flag):
+        if d[key]:
+            mass += w
+            num += w * strat.product(s, t)
     if mass <= 0:
         raise ValueError(f"pair ({s}, {t}): zero detection mass, cannot condition")
-    num = sum(
-        w * strat.product(s, t)
-        for w, strat, d in zip(units, m.strategy_at, m.detect_flag)
-        if d[key]
-    )
     return num / mass if denominator is None else Fraction(num, mass)
 
 
@@ -84,13 +84,10 @@ def model_ob_statistic(
 def enumerate_strategies(perfect_anticorrelation: bool) -> list[DeterministicStrategy]:
     """All deterministic strategies over (A_a, A_b, A_c, B_a, B_b, B_c), in
     lexicographic order with +1 before -1: 64 strategies, or the 8 with
-    B = -A under perfect anti-correlation.
+    B = -A under perfect anti-correlation. They are the shared, read-only
+    entries of ``core.strategy_table``.
     """
-    return [
-        DeterministicStrategy(a_out=dict(zip(LABELS, bits[:3])), b_out=dict(zip(LABELS, bits[3:])))
-        for bits in itertools.product((1, -1), repeat=6)
-        if not perfect_anticorrelation or all(b == -a for a, b in zip(bits[:3], bits[3:]))
-    ]
+    return [st for st, flags in strategy_table() if not perfect_anticorrelation or all(flags.values())]
 
 
 def strategy_ob_statistic(strat: DeterministicStrategy, pattern: str = "e7") -> int:

@@ -19,7 +19,8 @@ def random_strategies(rng: np.random.Generator, n: int) -> list[DeterministicStr
     """n perfect-anticorrelation strategies with random Alice outputs."""
     out = []
     for _ in range(n):
-        a_out = {s: int(rng.choice((1, -1))) for s in LABELS}
+        # the same draws and generator state as rng.choice((1, -1)), for less
+        a_out = {s: (1, -1)[int(rng.integers(0, 2))] for s in LABELS}
         out.append(DeterministicStrategy(a_out=a_out, b_out={s: -v for s, v in a_out.items()}))
     return out
 

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from obell.bounds import (
+    MAX_GRID_CELLS,
     BoundReport,
     chsh_bounds,
     feasibility_grid,
@@ -159,6 +161,26 @@ class TestFeasibilityGrid:
             cap_memory=True,
         )
         assert "ValueError: step must be finite" in proc.stderr
+
+    def test_cell_limit_is_checked_before_building(self):
+        with pytest.raises(ValueError, match=re.escape("--step 0.001 would build 1001000 cells, above the limit")):
+            feasibility_grid((0.0, 1.0), (0.0, 1.0), 0.001)
+        with pytest.raises(ValueError, match="--step 1e-300 would build inf cells"):
+            feasibility_grid((0.0, 1.0), (0.0, 1.0), 1e-300)
+        assert MAX_GRID_CELLS == 10**6
+
+    def test_grid_counts_its_values_as_stepping_does(self):
+        def stepped(lo, hi, step):  # the grid's definition: step from lo while within hi + 1e-12
+            values, v = [], lo
+            while v <= hi + 1e-12:
+                values.append(min(v, hi))
+                v = lo + len(values) * step
+            return values
+
+        for step in (0.002, 0.01, 0.03, 0.05, 0.1, 0.25, 0.3, 1 / 3, 1.0):
+            for lo, hi in [(i / 20, j / 20) for i in range(21) for j in range(i, 21)]:
+                cells = feasibility_grid((lo, hi), (1.0, 1.0), step)
+                assert [c.gamma for c in cells] == stepped(lo, hi, step)
 
     def test_csv_format(self):
         # cmd_sweep is the one writer of the feasibility grid's CSV

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -469,6 +470,22 @@ class TestSweepCommand:
         )
         assert proc.returncode == 2
         assert "--step must be finite" in proc.stderr
+
+    def test_step_beyond_the_cell_limit_is_refused_at_start_up(self):
+        # 10^10 cells, which would exhaust memory if built
+        start = time.perf_counter()
+        proc = run_child(
+            "import sys\nfrom obell.cli import main\nmain(sys.argv[1:])", "sweep", "--step", "1e-5",
+            cap_memory=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "--step 1e-05 would build 10000100000 cells, above the limit of 1000000" in proc.stderr
+        assert time.perf_counter() - start < 10
+
+    def test_step_below_the_cell_limit_runs(self, runner):
+        result = invoke(runner, "sweep", "--step", "0.002")
+        assert result.exit_code == 0
+        assert result.output.count("\n") == 1 + 501 * 500  # eta = 0 is dropped
 
     def test_infinite_step_is_usage_error(self, runner):
         result = invoke(runner, "sweep", "--step", "inf", "--gamma-range", "1:1", "--eta-range", "1:1")

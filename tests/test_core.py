@@ -16,10 +16,12 @@ from obell.core import (
     MeasurementSetting,
     NoiseParameters,
     SettingTriple,
+    _weight_from_json,
     make_setting,
     model_from_json_str,
     model_to_json,
     setting_triple_from_json,
+    strategy_table,
     validate_model,
 )
 from obell.lhv import make_epsilon_model
@@ -156,6 +158,21 @@ class TestValidateModel:
         )
         assert any(needle in v for v in validate_model(m))
 
+    def test_each_call_returns_a_new_list(self):
+        m = HiddenVariableModel.build([0.9], [_strategy((1, 1, 1), (-1, -1, -1))])
+        first = validate_model(m)
+        first.append("changed by the caller")
+        first[0] = "also changed"
+        assert validate_model(m) == ["weights: normalization broken, sum is 0.9"]
+        assert validate_model(m) is not validate_model(m)
+
+    def test_diagnostics_are_computed_once_per_model(self):
+        m = HiddenVariableModel.build([1.0], [_strategy((1, 1, 1), (-1, -1, -1))])
+        assert validate_model(m) == []
+        vars(m)["_diagnostics"] = ("cached",)  # what a second computation would overwrite
+        assert validate_model(m) == ["cached"]
+        assert validate_model(HiddenVariableModel.build(m.weights, m.strategy_at)) == []
+
     def test_bool_weight_survives_json(self):
         m = HiddenVariableModel.build(
             [1.0, 0.0],
@@ -248,6 +265,49 @@ class TestJsonRoundTrip:
         assert model_from_json_str(json.dumps(model_wire_with())).n_atoms == 2
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_json_str(json.dumps(model_wire_with(where, value)))
+
+    #: The two messages that ``BAD_MODEL_WIRE`` gives only in part, in full.
+    WHOLE_MESSAGES = {
+        "weight-10**400": f'weights[1] must be a number or a "p/q" string, got {10**400}',
+        "anticorr-mismatch": "atom 0: anticorr_flag must be true exactly where b_out = -a_out: "
+        "expected {'a': True, 'b': True, 'c': True}, got {'a': False, 'b': True, 'c': True}",
+    }
+
+    @pytest.mark.parametrize("case", list(zip(BAD_MODEL_WIRE_IDS, BAD_MODEL_WIRE)), ids=BAD_MODEL_WIRE_IDS)
+    def test_wire_messages_are_unchanged_whole(self, case):
+        case_id, (where, value, message) = case
+        with pytest.raises(ValueError) as info:
+            model_from_json_str(json.dumps(model_wire_with(where, value)))
+        assert str(info.value) == self.WHOLE_MESSAGES.get(case_id, message)
+
+    @pytest.mark.parametrize(
+        "text", ["1/6", "007/3", "+1/6", " 1/6", "1_0/3", "/3", "1/0", "1.5", "-1/2", "6/4", "1/\u0663", "1 /2"]
+    )
+    def test_string_weight_reads_as_fraction_reads_it(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            message = f'weights[3] must be a number or a "p/q" string, got {text!r}'
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _weight_from_json(text, 3)
+            return
+        weight = _weight_from_json(text, 3)
+        assert type(weight) is Fraction
+        assert (weight.numerator, weight.denominator) == (expected.numerator, expected.denominator)
+
+    def test_parsed_atoms_share_one_read_only_strategy(self):
+        wire = model_wire_with()
+        wire["strategy_at"][1] = dict(wire["strategy_at"][0])
+        wire["anticorr_flag"][1] = wire["anticorr_flag"][0]
+        m, again = (model_from_json_str(json.dumps(wire)) for _ in range(2))
+        assert m.strategy_at[0] is m.strategy_at[1] is again.strategy_at[0]
+        assert m.strategy_at[0] == _strategy((1, 1, 1), (-1, -1, -1))
+        assert m.strategy_at[0] is strategy_table()[0b000111][0]
+        with pytest.raises(TypeError):
+            m.strategy_at[0].a_out["a"] = -1
+        with pytest.raises(TypeError):
+            m.strategy_at[0].b_out["c"] = 1
+        assert m.strategy_at[0].a_out == {"a": 1, "b": 1, "c": 1}
 
     def test_malformed_model_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

@@ -13,6 +13,7 @@ from obell.core import (
     PAIR_KEYS,
     DeterministicStrategy,
     HiddenVariableModel,
+    strategy_table,
     validate_model,
 )
 from obell.lhv import (
@@ -168,6 +169,13 @@ class TestEnumeration:
         bits = [tuple(s.a_out[label] for label in LABELS) + tuple(s.b_out[label] for label in LABELS)
                 for s in enumerate_strategies(False)]
         assert bits == list(itertools.product((1, -1), repeat=6))
+
+
+    def test_strategies_are_the_shared_table_entries(self):
+        table = [st for st, _ in strategy_table()]
+        assert all(a is b for a, b in zip(enumerate_strategies(False), table, strict=True))
+        # A has the bits of i, so B = -A has those of 7 - i
+        assert all(a is table[8 * i + 7 - i] for i, a in enumerate(enumerate_strategies(True)))
 
 
 class TestClassicalMaximum:
